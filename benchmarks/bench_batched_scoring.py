@@ -54,13 +54,10 @@ def _compare(program, array, candidates, rounds=5, number=3):
     """
 
     def per_candidate():
-        return [
-            max_window_size(program, array, t, engine="fast")
-            for t in candidates
-        ]
+        return [max_window_size(program, array, t) for t in candidates]
 
     def batched():
-        return batched_mws(program, candidates, array=array, engine="fast")
+        return batched_mws(program, candidates, array=array)
 
     assert per_candidate() == batched()  # warm caches + pin parity
     serial_s = batch_s = float("inf")
@@ -120,9 +117,9 @@ def test_full_search_batched_speedup(benchmark):
 
 
 def test_specialized_kernel_vs_generic(benchmark):
-    """The codegen-specialized kernel vs the generic batched sweep
-    (``REPRO_KERNEL=off``) on identical keys — specialization must not
-    lose to the fallback it replaces."""
+    """The codegen-specialized kernel vs the generic batched sweep on
+    identical keys — specialization must not lose to the unspecialized
+    sweep it replaces."""
     import repro.window.batched as batched_mod
 
     program = parse_program(EXAMPLE_8)
@@ -130,7 +127,7 @@ def test_specialized_kernel_vs_generic(benchmark):
     keys = batched_mod._batched_time_keys(program, candidates)
     arrays = tuple(program.arrays)
     states = batched_mod._array_states(program, arrays)
-    kernel = batched_mod._sweep_kernel(program, arrays, "python")
+    kernel = batched_mod._sweep_kernel(program, arrays)
     assert list(kernel(keys)) == list(batched_mod._generic_sweep(states, keys))
 
     def specialized():

@@ -57,21 +57,21 @@ def test_sor_scaling(benchmark, n):
 
 def test_two_point_streaming_beyond_dense_budget(benchmark, monkeypatch):
     """One size past the dense ceiling: with the dense-matrix budget
-    forced below the 128x128 iteration count, ``auto`` flips to the
-    streaming chunked engine and the linear-window shape claim still
-    holds exactly (the streamed value equals the dense one computed
+    forced below the 128x128 iteration count, ``max_window_size`` switches
+    to the streaming chunked engine and the linear-window shape claim
+    still holds exactly (the streamed value equals the dense one computed
     before the budget is lowered)."""
-    from repro.window import max_window_size, resolve_engine
+    from repro.window import fast, max_window_size
+    from repro.window.simulator import fits_dense
 
     n = 128
     program = two_point(n)  # 16384 iterations
     (array,) = program.arrays
-    dense = max_window_size(program, array, engine="fast")
-    monkeypatch.setenv("REPRO_DENSE_BUDGET", "10000")
-    assert resolve_engine(program, "auto") == "streaming"
+    dense = max_window_size(program, array)
+    monkeypatch.setattr(fast, "DENSE_BUDGET", 10000)
+    assert not fits_dense(program)
     streamed = benchmark.pedantic(
-        max_window_size, args=(program, array), kwargs={"engine": "auto"},
-        rounds=1, iterations=1,
+        max_window_size, args=(program, array), rounds=1, iterations=1,
     )
     assert streamed == dense == n
     assert streamed <= n + 4  # window stays one row: linear, not quadratic

@@ -64,7 +64,6 @@ def evaluate_kind(
     kind: str,
     program: Program,
     array: str | None = None,
-    engine: str = "auto",
     store=None,
     preset: str = "tcm",
 ) -> dict[str, Any]:
@@ -78,7 +77,7 @@ def evaluate_kind(
     if kind == "optimize":
         from repro.core.optimizer import optimize_program
 
-        result = optimize_program(program, engine=engine, store=store)
+        result = optimize_program(program, store=store)
         return {
             "mws_before": result.mws_before,
             "mws_after": result.mws_after,
@@ -89,7 +88,7 @@ def evaluate_kind(
 
         name = array or program.arrays[0]
         result = search_best_transformation(
-            program, name, engine=engine, store=store
+            program, name, store=store
         )
         return {
             "array": name,
@@ -100,20 +99,17 @@ def evaluate_kind(
     if kind == "mws":
         from repro.transform.search import evaluate_exact
 
-        value = evaluate_exact(program, [None], array=array, engine=engine,
-                               store=store)[0]
+        value = evaluate_exact(program, [None], array=array, store=store)[0]
         return {"array": array, "mws": value}
     if kind == "analyze":
         from repro.estimation.memory import estimate_program_memory
         from repro.transform.search import evaluate_exact
 
         per_array = {
-            name: evaluate_exact(program, [None], array=name, engine=engine,
-                                 store=store)[0]
+            name: evaluate_exact(program, [None], array=name, store=store)[0]
             for name in program.arrays
         }
-        total = evaluate_exact(program, [None], array=None, engine=engine,
-                               store=store)[0]
+        total = evaluate_exact(program, [None], array=None, store=store)[0]
         footprint = estimate_program_memory(program)
         return {
             "program": program.name,
@@ -132,7 +128,7 @@ def evaluate_kind(
             if isinstance(hit, dict):
                 return hit
         stack = hierarchy_preset(preset)
-        report = size_memory_for_hierarchy(program, stack, engine=engine)
+        report = size_memory_for_hierarchy(program, stack)
         value = {
             "preset": preset,
             "mws_words": report.mws_words,
@@ -148,7 +144,7 @@ def evaluate_kind(
         out: dict[str, Any] = {"array": name}
         for param_kind in ("mws", "distinct"):
             pe = resolve_parametric(
-                program, param_kind, array=name, store=store, engine=engine
+                program, param_kind, array=name, store=store
             )
             out[f"{param_kind}_expr"] = None if pe is None else str(pe.expr)
         return out
@@ -169,7 +165,6 @@ class AnalysisRequest:
     source: str | None = None
     name: str | None = None
     array: str | None = None
-    engine: str | None = None  # None -> the service default
     preset: str = "tcm"
     timeout: float | None = None  # None -> the service default
 
@@ -189,7 +184,7 @@ class AnalysisResponse:
     result: dict[str, Any] | None = None
     error: str | None = None
     wall_s: float = 0.0
-    warm: bool | None = None
+    warm: bool | None = None  # None: no observer to tell by
     run: str | None = field(default_factory=runctx.current_run_id)
 
     @property
@@ -218,14 +213,6 @@ def build_request(payload: Mapping[str, Any]) -> AnalysisRequest:
         raise ValueError(
             "exactly one of 'kernel', 'file' or 'source' is required"
         )
-    engine = payload.get("engine")
-    if engine is not None:
-        from repro.window import ENGINES
-
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r} (expected one of {tuple(ENGINES)})"
-            )
     timeout = payload.get("timeout")
     if timeout is not None:
         timeout = float(timeout)
@@ -239,7 +226,6 @@ def build_request(payload: Mapping[str, Any]) -> AnalysisRequest:
         source=payload.get("source"),
         name=payload.get("name"),
         array=None if array is None else str(array),
-        engine=engine,
         preset=str(payload.get("preset", "tcm")),
         timeout=timeout,
     )
@@ -266,7 +252,6 @@ class AnalysisService:
     def __init__(
         self,
         store=None,
-        engine: str = "auto",
         workers: int | None = 0,
         timeout: float | None = None,
     ) -> None:
@@ -276,7 +261,6 @@ class AnalysisService:
         if isinstance(store, (str, Path)):
             store = ResultStore(store)
         self.store = store
-        self.engine = engine
         self.workers = _resolve_workers(workers)
         self.timeout = timeout
         self._pool: ReclaimablePool | None = None
@@ -323,14 +307,13 @@ class AnalysisService:
     def evaluate(self, request: AnalysisRequest) -> AnalysisResponse:
         """Evaluate inline (no pool, no preemption); never raises on the
         *item's* behalf — failures come back as ``status="error"``."""
-        engine = request.engine or self.engine
         started = time.perf_counter()
         try:
             program = self.resolve_program(request)
             observer = obs.get_observer()
             before = dict(observer.counters) if observer else {}
             result = evaluate_kind(
-                request.kind, program, array=request.array, engine=engine,
+                request.kind, program, array=request.array,
                 store=self.store, preset=request.preset,
             )
         except Exception as exc:
@@ -348,7 +331,8 @@ class AnalysisService:
                 for name, value in observer.counters.items()
             }
         obs.counter("batch.items.ok")
-        warm = _observe_latency(wall, delta)
+        # Without an observer there is no counter delta to judge by.
+        warm = _observe_latency(wall, delta) if observer is not None else None
         return AnalysisResponse(
             request.kind, request.target, request.array, "ok",
             result=result, wall_s=wall, warm=warm,
@@ -374,7 +358,6 @@ class AnalysisService:
             timeout = self.timeout
         if self.workers < 1:
             return self.evaluate(request)
-        engine = request.engine or self.engine
         try:
             program = self.resolve_program(request)
         except Exception as exc:
@@ -387,7 +370,7 @@ class AnalysisService:
         label = f"{request.kind} {request.target}"
         payload = (
             evaluator or self._evaluator(request), label, sig, request.kind,
-            program, request.array, engine, self.store,
+            program, request.array, self.store,
         )
         slot = self._ensure_pool().run_one(_batch_task, payload, timeout)
         if slot.status == "timeout":
@@ -412,7 +395,10 @@ class AnalysisService:
             for name, amount in delta.items():
                 obs.counter(name, amount)
             obs.counter("batch.items.ok")
-            warm = _observe_latency(slot.wall_s, delta)
+            # Workers run an observer only when the parent had one.
+            warm = (
+                _observe_latency(slot.wall_s, delta) if obs.enabled() else None
+            )
         return AnalysisResponse(
             request.kind, request.target, request.array, "ok",
             result=result, wall_s=slot.wall_s, warm=warm,
@@ -420,10 +406,10 @@ class AnalysisService:
 
     def batch(self, entries, timeout: float | None = None):
         """Run a manifest through :func:`repro.store.batch.run_batch`
-        with the service's store/workers/engine."""
+        with the service's store and workers."""
         return run_batch(
             entries, store=self.store, workers=self.workers,
-            engine=self.engine, timeout=timeout or self.timeout,
+            timeout=timeout or self.timeout,
         )
 
     # ------------------------------------------------------------------

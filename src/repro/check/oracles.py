@@ -320,11 +320,16 @@ class TotalWindowAgrees(Oracle):
         return random_program(seed, cfg)
 
     def check(self, program: Program, seed: int = 0) -> Violation | None:
-        from repro.window import max_total_window
+        from repro.window.fast import max_total_window_fast
+        from repro.window.simulator import max_total_window_reference
+        from repro.window.streaming import max_total_window_streaming
+        from repro.window.zhao_malik import max_total_window_zhao_malik
 
         values = {
-            engine: max_total_window(program, engine=engine)
-            for engine in ("reference", "fast", "streaming", "zhao_malik")
+            "reference": max_total_window_reference(program),
+            "fast": max_total_window_fast(program),
+            "streaming": max_total_window_streaming(program),
+            "zhao_malik": max_total_window_zhao_malik(program),
         }
         if len(set(values.values())) != 1:
             return self.fail(f"total windows disagree {values}", program)
@@ -484,7 +489,10 @@ class BatchedScoringParity(Oracle):
     def check(self, program: Program, seed: int = 0) -> Violation | None:
         from repro.transform.elementary import signed_permutations
         from repro.window.batched import batched_mws
-        from repro.window.simulator import max_total_window, max_window_size
+        from repro.window.fast import (
+            max_total_window_fast,
+            max_window_size_fast,
+        )
 
         rng = random.Random(seed * 104_729 + program.nest.depth)
         pool = list(signed_permutations(program.nest.depth))
@@ -492,16 +500,12 @@ class BatchedScoringParity(Oracle):
         candidates: list[IntMatrix | None] = [None, _seed_transformation(program, seed)]
         candidates.extend(pool[:4])
         for array in [None, *program.arrays]:
-            batch = batched_mws(program, candidates, array=array, engine="fast")
+            batch = batched_mws(program, candidates, array=array)
             if array is None:
-                serial = [
-                    max_total_window(program, t, engine="fast")
-                    for t in candidates
-                ]
+                serial = [max_total_window_fast(program, t) for t in candidates]
             else:
                 serial = [
-                    max_window_size(program, array, t, engine="fast")
-                    for t in candidates
+                    max_window_size_fast(program, array, t) for t in candidates
                 ]
             if batch != serial:
                 where = array or "<total>"
@@ -732,8 +736,8 @@ class TripExtensionMonotone(Oracle):
                     f"extending the outermost trip count by {extra}",
                     program,
                 )
-        total0 = max_total_window(program, engine="fast")
-        total1 = max_total_window(extended, engine="fast")
+        total0 = max_total_window(program)
+        total1 = max_total_window(extended)
         if total1 < total0:
             return self.fail(
                 f"total window dropped {total0} -> {total1} after extending "
@@ -968,8 +972,8 @@ class TimeReversalInvariance(Oracle):
                     f"array {array}: A_d {d0} -> {d1} under time reversal",
                     program,
                 )
-        t0 = max_total_window(program, engine="fast")
-        t1 = max_total_window(reversed_program, engine="fast")
+        t0 = max_total_window(program)
+        t1 = max_total_window(reversed_program)
         if t0 != t1:
             return self.fail(
                 f"total window {t0} -> {t1} under time reversal", program

@@ -24,9 +24,6 @@
 Global flags (before the subcommand):
 
     --workers N        parallelize candidate evaluation over N processes
-    --engine NAME      window engine: auto | reference | fast | streaming
-                       | zhao_malik (auto picks fast or, past the dense
-                       budget, streaming)
     --trace out.jsonl  record an observability trace; prints a span
                        summary on exit (see docs/observability.md)
     --store DIR        persist/reuse exact windows and search results in
@@ -60,7 +57,7 @@ def _load(path: str, name: str | None = None):
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     program = _load(args.file)
-    print(analyze_program(program, engine=args.engine))
+    print(analyze_program(program))
     return 0
 
 
@@ -84,7 +81,7 @@ def _cmd_dependences(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     program = _load(args.file)
     result = optimize_program(
-        program, workers=args.workers, engine=args.engine,
+        program, workers=args.workers,
         store=args.store_obj, parametric=args.parametric,
     )
     print(f"MWS before : {result.mws_before}")
@@ -129,7 +126,7 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
         program = kernel_by_name(args.target).build()
     hierarchy = preset(args.preset)
     report = size_memory_for_hierarchy(
-        program, hierarchy, policy=args.policy, engine=args.engine
+        program, hierarchy, policy=args.policy
     )
     needed = (
         "insufficient (capacity misses unavoidable)"
@@ -163,10 +160,9 @@ def _cmd_size(args: argparse.Namespace) -> int:
     transformation = None
     if args.optimized:
         transformation = optimize_program(
-            program, workers=args.workers, engine=args.engine,
-            store=args.store_obj,
+            program, workers=args.workers, store=args.store_obj,
         ).transformation
-    report = size_memory_for_program(program, transformation, engine=args.engine)
+    report = size_memory_for_program(program, transformation)
     print(f"declared            : {report.declared_words} words")
     print(f"maximum window size : {report.mws_words} words")
     print(f"provisioned         : {report.provisioned_words} words")
@@ -262,7 +258,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     try:
         result = search_best_transformation(
             program, array, bound=args.bound, workers=args.workers,
-            engine=args.engine, store=args.store_obj,
+            store=args.store_obj,
         )
     finally:
         journal.disable()
@@ -308,7 +304,6 @@ def _cmd_param(args: argparse.Namespace) -> int:
         for kind in ("mws", "distinct", "reuse"):
             pe = resolve_parametric(
                 program, kind, array=array, store=args.store_obj,
-                engine=args.engine,
             )
             derived[kind] = pe
             if pe is None:
@@ -334,9 +329,7 @@ def _cmd_param(args: argparse.Namespace) -> int:
                     if kind == "mws":
                         from repro.window.simulator import max_window_size
 
-                        truth = max_window_size(
-                            resized, array, engine=args.engine
-                        )
+                        truth = max_window_size(resized, array)
                     else:
                         from repro.estimation.exact import (
                             exact_distinct_accesses,
@@ -513,7 +506,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import time
 
     from repro.reporting.telemetry import build_artifact, write_artifact
-    from repro.window.streaming import max_total_window_streaming, stream_chunk
+    from repro.window.streaming import STREAM_CHUNK, max_total_window_streaming
 
     if args.file:
         program = _load(args.file)
@@ -522,7 +515,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.chunk_sweep:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     else:
-        sizes = [stream_chunk()]
+        sizes = [STREAM_CHUNK]
     rows = []
     for chunk in sizes:
         own_observer = obs.get_observer() is None
@@ -615,7 +608,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             entries,
             store=args.store_obj,
             workers=args.workers,
-            engine=args.engine,
             timeout=args.timeout,
         )
     finally:
@@ -640,7 +632,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # per-request timeouts need preemptable workers.
     service = AnalysisService(
         store=args.store_obj,
-        engine=args.engine,
         workers=args.workers or None,
         timeout=args.timeout,
     )
@@ -693,14 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="evaluate search candidates on N worker processes (0 = serial)",
-    )
-    from repro.window import ENGINES
-
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="auto",
-        help="window engine (auto = fast, or streaming past the dense budget)",
     )
     parser.add_argument(
         "--trace",
@@ -1075,7 +1058,6 @@ def main(argv: list[str] | None = None) -> int:
             argv=list(sys.argv[1:]) if argv is None else list(argv),
             config={
                 "workers": args.workers,
-                "engine": args.engine,
                 "store": str(args.store_obj.root) if args.store_obj else None,
                 "trace": args.trace,
             },

@@ -52,7 +52,7 @@ def _program_ordering_distances(program: Program) -> list[tuple[int, ...]]:
 
 
 def candidate_transformations(
-    program: Program, workers: int = 0, engine: str = "auto", store=None
+    program: Program, workers: int = 0, store=None
 ) -> list[IntMatrix]:
     """Legal candidate transformations for program-level optimization.
 
@@ -85,7 +85,7 @@ def candidate_transformations(
                 continue
             try:
                 result = search(
-                    program, array, workers=workers, engine=engine, store=store
+                    program, array, workers=workers, store=store
                 )
             except (ValueError, KeyError):
                 continue
@@ -126,8 +126,7 @@ def _access_embeddings(
 
 
 def optimize_program(
-    program: Program, workers: int = 0, engine: str = "auto", store=None,
-    parametric: bool = False,
+    program: Program, workers: int = 0, store=None, parametric: bool = False,
 ) -> OptimizationResult:
     """Choose the legal transformation minimizing total MWS.
 
@@ -142,8 +141,7 @@ def optimize_program(
     order (first, so its score is always exact) sets the incumbent, and
     candidates whose certified/clipped lower bound cannot strictly beat
     the running best are never simulated — the chosen transformation is
-    identical to scoring everything.  ``engine`` picks the window engine
-    (:data:`repro.window.ENGINES`).  ``store`` (a
+    identical to scoring everything.  ``store`` (a
     :class:`repro.store.ResultStore`) persists search results and exact
     values, so a warm process re-optimizes without simulating.
     ``parametric=True`` answers candidate scores from derived
@@ -155,12 +153,12 @@ def optimize_program(
     with obs.span("optimize", program=program.name, workers=workers):
         with obs.span("candidates"):
             candidates = candidate_transformations(
-                program, workers=workers, engine=engine, store=store
+                program, workers=workers, store=store
             )
         obs.counter("optimize.candidates", len(candidates))
         outcomes = evaluate_cascade(
             program, [None] + candidates, array=None, workers=workers,
-            engine=engine, store=store, parametric=parametric,
+            store=store, parametric=parametric,
         )
         before = outcomes[0].value
         best_t = IntMatrix.identity(program.nest.depth)

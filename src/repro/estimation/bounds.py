@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.envutil import env_int
 from repro.ir.program import Program
 from repro.ir.reference import ArrayRef
 from repro.linalg.frobenius import sylvester_count
@@ -173,18 +172,10 @@ def nonuniform_bounds(program: Program, array: str) -> NonUniformBounds:
 # lower bounds (tier 2) for the search's tiered pruning.
 # ---------------------------------------------------------------------------
 
-#: Environment variable overriding the tier-2 clipping budget.
-CLIP_BUDGET_ENV = "REPRO_CLIP_BUDGET"
-
-#: Default iteration count of the clipped sub-box used for tier-2 lower
+#: Iteration count of the clipped sub-box used for tier-2 lower
 #: bounds.  Small enough that a clipped exact evaluation is cheap next to
 #: a full simulation, large enough to retain pruning power.
-DEFAULT_CLIP_BUDGET = 4096
-
-
-def clip_budget() -> int:
-    """Iteration budget of the tier-2 clipped sub-program."""
-    return env_int(CLIP_BUDGET_ENV, DEFAULT_CLIP_BUDGET)
+CLIP_BUDGET = 4096
 
 
 def _family_fits_box(
@@ -413,7 +404,7 @@ def clipped_program(program: Program, budget: int | None = None) -> Program:
     the heuristic only affects how tight it is.
     """
     if budget is None:
-        budget = clip_budget()
+        budget = CLIP_BUDGET
     key = (program.signature(), budget)
     cached = _CLIP_CACHE.get(key)
     if cached is not None:

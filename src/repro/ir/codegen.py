@@ -7,9 +7,9 @@ Fourier-Motzkin elimination of the transformed domain, and each original
 index in the body is rewritten as the corresponding row of ``T^{-1} @ u``.
 
 The module is also the *kernel specializer* behind the batched scoring
-engine (:mod:`repro.window.batched`): :func:`sweep_kernel_source` and
-:func:`sweep_kernel_c_source` emit a flat, program-specific first/last-
-touch sweep — numpy or C — for one exact nest/reference structure.  The
+engine (:mod:`repro.window.batched`): :func:`sweep_kernel_source` emits
+a flat, program-specific numpy first/last-touch sweep for one exact
+nest/reference structure.  The
 emitted kernel takes a ``(K, N)`` matrix of order-isomorphic time keys
 (one row per candidate transformation) and returns the K peak
 concurrent-interval counts, i.e. the exact MWS of every candidate in
@@ -283,84 +283,3 @@ def sweep_kernel_source(specs: Sequence[SweepArraySpec]) -> str:
         ]
     lines.extend(tail)
     return "\n".join(lines) + "\n"
-
-
-def sweep_kernel_c_source(
-    specs: Sequence[SweepArraySpec], n_points: int
-) -> tuple[str, str]:
-    """Emit the same specialized sweep as C, for cffi compilation.
-
-    Returns ``(cdef, source)``.  The C function takes the flattened
-    ``(K, N)`` key matrix, the row count, one ``(point_row, seg_starts)``
-    pointer pair per array, and an output buffer of K peaks.  All sizes
-    are baked as compile-time constants; the per-array gather/reduce
-    loops are emitted unrolled, one block per array.
-    """
-    if not specs:
-        raise ValueError("sweep kernel needs at least one array")
-    total_elems = sum(spec.n_elems for spec in specs)
-    args = ", ".join(
-        f"const long long *pr{i}, const long long *ss{i}"
-        for i in range(len(specs))
-    )
-    cdef = (
-        "void repro_sweep(const long long *keys, long long nrows, "
-        f"{args}, long long *out);"
-    )
-    blocks = []
-    for i, spec in enumerate(specs):
-        blocks.append(f"""\
-        /* array {spec.name}: {spec.n_accesses} accesses, {spec.n_elems} elements */
-        for (long long seg = 0; seg < {spec.n_elems}; seg++) {{
-            long long lo = ss{i}[seg];
-            long long hi = (seg + 1 < {spec.n_elems}) ? ss{i}[seg + 1] : {spec.n_accesses};
-            long long mn = row[pr{i}[lo]];
-            long long mx = mn;
-            for (long long a = lo + 1; a < hi; a++) {{
-                long long v = row[pr{i}[a]];
-                if (v < mn) mn = v;
-                if (v > mx) mx = v;
-            }}
-            st[e] = mn;
-            en[e] = mx;
-            e++;
-        }}""")
-    body = "\n".join(blocks)
-    source = f"""\
-#include <stdlib.h>
-
-static int repro_key_cmp(const void *pa, const void *pb) {{
-    long long a = *(const long long *)pa, b = *(const long long *)pb;
-    return (a < b) ? -1 : (a > b) ? 1 : 0;
-}}
-
-void repro_sweep(const long long *keys, long long nrows, {args},
-                 long long *out)
-{{
-    long long *st = malloc(sizeof(long long) * {2 * total_elems});
-    if (!st) {{
-        for (long long r = 0; r < nrows; r++) out[r] = -1;
-        return;
-    }}
-    long long *en = st + {total_elems};
-    for (long long r = 0; r < nrows; r++) {{
-        const long long *row = keys + r * {n_points}LL;
-        long long e = 0;
-{body}
-        qsort(st, (size_t)e, sizeof(long long), repro_key_cmp);
-        qsort(en, (size_t)e, sizeof(long long), repro_key_cmp);
-        /* Occupancy at the i-th smallest start s is (i + 1) minus the
-           ends at or before s; a merge over the two sorted buffers
-           reads every candidate maximum. */
-        long long j = 0, peak = 0;
-        for (long long i = 0; i < e; i++) {{
-            while (j < e && en[j] <= st[i]) j++;
-            long long occ = i + 1 - j;
-            if (occ > peak) peak = occ;
-        }}
-        out[r] = peak;
-    }}
-    free(st);
-}}
-"""
-    return cdef, source

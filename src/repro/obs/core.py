@@ -306,7 +306,7 @@ def _init_worker(collect: bool, run_state: dict | None = None) -> None:
     """``ProcessPoolExecutor`` initializer: never inherit the parent's
     observer (and its open trace file), but when the parent is observing
     start a fresh in-memory observer so worker-side counters can be
-    shipped back and merged (see ``transform.search._eval_task``).
+    shipped back and merged (see ``transform.search._eval_batch_task``).
 
     ``run_state`` (from :func:`repro.obs.runctx.worker_state`) restores
     the parent's run identity in the child, so worker observers and

@@ -32,7 +32,9 @@ Routes::
 
 ``POST /analyze`` answers 200 on success, 400 on a malformed request,
 422 on an evaluation error, 429 over capacity or quota, 504 on a
-request timeout.
+request timeout.  Any route answers 408 to a client that has not sent
+its whole request within :data:`READ_TIMEOUT_S` (``server.read_timeouts``)
+and 413 to an oversized request head or body.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ from repro.server.quota import TenantQuotas
 
 #: Tenant bucket for requests that send no ``X-Repro-Tenant`` header.
 ANONYMOUS_TENANT = "anonymous"
+
+#: Seconds a client has to send its whole request before it is answered
+#: 408; a stalled half-sent request would otherwise hold its connection
+#: forever.
+READ_TIMEOUT_S = 30.0
 
 #: Default tokens/second each tenant accrues (see ``--quota-rate``).
 DEFAULT_QUOTA_RATE = 50.0
@@ -161,7 +168,15 @@ class ReproServer:
     async def _client(self, reader, writer) -> None:
         try:
             try:
-                request = await read_request(reader)
+                request = await asyncio.wait_for(
+                    read_request(reader), READ_TIMEOUT_S
+                )
+            except asyncio.TimeoutError:
+                obs.counter("server.read_timeouts")
+                writer.write(render_response(
+                    408, {"error": "request not received in time"}
+                ))
+                return
             except BadRequest as exc:
                 writer.write(render_response(exc.status, {"error": str(exc)}))
                 return

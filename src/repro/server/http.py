@@ -25,6 +25,7 @@ REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     422: "Unprocessable Entity",
     429: "Too Many Requests",
@@ -60,13 +61,22 @@ class HTTPRequest:
             raise BadRequest(f"request body is not valid JSON: {exc}") from None
 
 
+async def _readline(reader) -> bytes:
+    """One head line; a line longer than the stream's buffer limit
+    (64 KiB by default) makes ``readline`` raise ``ValueError``."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise BadRequest("request head line too long", status=413) from None
+
+
 async def read_request(reader) -> HTTPRequest | None:
     """Parse one request from an asyncio stream.
 
     Returns ``None`` when the peer closed without sending anything;
     raises :class:`BadRequest` on a malformed or oversized request.
     """
-    line = await reader.readline()
+    line = await _readline(reader)
     if not line.strip():
         return None
     parts = line.decode("latin-1").split()
@@ -76,7 +86,7 @@ async def read_request(reader) -> HTTPRequest | None:
     headers: dict[str, str] = {}
     seen = len(line)
     while True:
-        line = await reader.readline()
+        line = await _readline(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         seen += len(line)

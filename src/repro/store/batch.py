@@ -140,7 +140,6 @@ def _default_evaluator(
     kind: str,
     program: Program,
     array: str | None,
-    engine: str,
     store,
 ) -> dict[str, Any]:
     """Run one work item; returns a JSON-ready result dict.
@@ -151,14 +150,13 @@ def _default_evaluator(
     """
     from repro.api import evaluate_kind
 
-    return evaluate_kind(kind, program, array=array, engine=engine,
-                         store=store)
+    return evaluate_kind(kind, program, array=array, store=store)
 
 
 def _batch_task(payload) -> tuple[dict[str, Any], dict[str, int]]:
     """Worker-process entry point (module-level for pickling).
 
-    Like ``transform.search._eval_task``: returns the result together
+    Like ``transform.search._eval_batch_task``: returns the result together
     with the worker-side counter delta, drained per task so serial and
     parallel counter totals match.
 
@@ -168,7 +166,7 @@ def _batch_task(payload) -> tuple[dict[str, Any], dict[str, int]]:
     parent abandons this item on timeout, it recovers the last snapshot
     instead of silently dropping the worker's counters.
     """
-    evaluator, label, sig, kind, program, array, engine, store = payload
+    evaluator, label, sig, kind, program, array, store = payload
     flight.heartbeat("item_start", item=label, sig=sig)
     started = time.perf_counter()
     try:
@@ -176,7 +174,7 @@ def _batch_task(payload) -> tuple[dict[str, Any], dict[str, int]]:
         # a raising evaluator must not leave a daemon thread appending
         # heartbeats for an item that is already dead.
         with flight.HeartbeatThread(label, sig=sig):
-            result = evaluator(kind, program, array, engine, store)
+            result = evaluator(kind, program, array, store)
     except BaseException:
         flight.heartbeat("item_error", item=label, sig=sig)
         raise
@@ -217,14 +215,27 @@ def _recover_timeout_delta(item_label: str) -> dict[str, int]:
     return recovered
 
 
-def _observe_latency(wall_s: float, delta: Mapping[str, int]) -> None:
-    """File the item's wall time under the warm or cold histogram.
+def _is_warm(delta: Mapping[str, int]) -> bool:
+    """Whether an item's counter delta shows no fresh work.
 
-    *Warm* means the store answered everything (no ``store.misses``
-    during the item and at least one hit); anything else is cold.
+    *Warm* means nothing was computed or fetched from scratch: no window
+    engine ran (``engine.*.calls``), no closed form was derived or
+    failed to derive (``param.derived`` / ``param.derive_failed``), and
+    the store missed nothing (``store.misses``).  An answer from the
+    in-process memos is warm whether or not a store is attached.
     """
-    hits = delta.get("store.mem.hits", 0) + delta.get("store.disk.hits", 0)
-    warm = hits > 0 and delta.get("store.misses", 0) == 0
+    return not any(
+        amount
+        for name, amount in delta.items()
+        if (name.startswith("engine.") and name.endswith(".calls"))
+        or name in ("param.derived", "param.derive_failed", "store.misses")
+    )
+
+
+def _observe_latency(wall_s: float, delta: Mapping[str, int]) -> bool:
+    """File the item's wall time under the warm or cold histogram and
+    return whether it was warm (see :func:`_is_warm`)."""
+    warm = _is_warm(delta)
     name = "batch.latency.warm_s" if warm else "batch.latency.cold_s"
     obs_metrics.observe(name, wall_s, buckets=LATENCY_BUCKETS)
     return warm
@@ -259,7 +270,6 @@ def run_batch(
     entries: Sequence[Any],
     store=None,
     workers: int | None = 0,
-    engine: str = "auto",
     timeout: float | None = None,
     evaluator: Callable[..., dict] | None = None,
 ) -> BatchReport:
@@ -342,7 +352,7 @@ def run_batch(
                                if item.program is not None else None)
                         payload = (
                             evaluator, item.label, sig, item.kind,
-                            item.program, item.array, engine, store,
+                            item.program, item.array, store,
                         )
                         future = threads.submit(
                             pool.run_one, _batch_task, payload, timeout
@@ -391,7 +401,7 @@ def run_batch(
                 flight.heartbeat("item_start", item=item.label, sig=sig)
                 try:
                     result = evaluator(
-                        item.kind, item.program, item.array, engine, store
+                        item.kind, item.program, item.array, store
                     )
                 except Exception as exc:  # degrade, don't abort
                     obs.counter("batch.items.error")

@@ -57,7 +57,6 @@ from typing import Sequence
 
 from repro import obs
 from repro.dependence.distance import lex_level
-from repro.envutil import env_int
 from repro.estimation import bounds
 from repro.estimation.parametric import clear_param_cache, parametric_value
 from repro.ir.program import Program
@@ -113,23 +112,14 @@ _EXACT_CACHE: LRUCache = LRUCache(_EXACT_CACHE_LIMIT, counter="search.cache")
 #: Below this many cache misses a process pool costs more than it saves.
 #: Measurement (bench_batched_scoring shapes, 2024-era 8-core x86): a
 #: pool spin-up costs ~80-150 ms while the *batched* serial path scores
-#: 8 misses of a 10^4-iteration nest in ~2 ms — the threshold is now
-#: conservative by a wide margin, but raising the default would change
-#: when existing workloads fork; tune per deployment with
-#: ``REPRO_PARALLEL_THRESHOLD`` instead.
+#: 8 misses of a 10^4-iteration nest in ~2 ms — the threshold is
+#: conservative by a wide margin, but raising it would change when
+#: existing workloads fork.
 PARALLEL_THRESHOLD = 8
-
-#: Environment variable overriding :data:`PARALLEL_THRESHOLD`.
-PARALLEL_THRESHOLD_ENV = "REPRO_PARALLEL_THRESHOLD"
-
-
-def parallel_threshold() -> int:
-    """Miss count at which evaluation fans out to a pool (env-overridable)."""
-    return env_int(PARALLEL_THRESHOLD_ENV, PARALLEL_THRESHOLD)
 
 #: Whole-search memo: ``(kind, program signature, array, bounds...)`` ->
 #: :class:`SearchResult`.  Search results are pure in the program and the
-#: search knobs (``workers`` and ``engine`` change only *how* the result
+#: search knobs (``workers`` changes only *how* the result
 #: is computed), so repeated searches — benchmark loops, the Figure-2
 #: table re-running per array, pool workers — hit here.  Bypassed while a
 #: journal records, so ``repro explain`` always sees the full trace.
@@ -247,44 +237,32 @@ def _eval_one(
     program: Program,
     array: str | None,
     t: IntMatrix | None,
-    engine: str = "auto",
 ) -> int:
     from repro.window.simulator import max_total_window, max_window_size
 
     if array is None:
-        return max_total_window(program, t, engine=engine)
-    return max_window_size(program, array, t, engine=engine)
+        return max_total_window(program, t)
+    return max_window_size(program, array, t)
 
 
 def _score_misses(
     program: Program,
     array: str | None,
     ts: Sequence[IntMatrix | None],
-    engine: str,
 ) -> list[int]:
     """Exact MWS for a list of cache misses, scored as one batch.
 
     Thin wrapper over :func:`repro.window.batched.batched_mws` (which
     bumps ``batch.candidates`` and the per-candidate simulator counters
-    so serial, parallel, and batched totals reconcile).
+    so serial, parallel, and batched totals reconcile).  A nest past the
+    dense budget has no batched form and streams one candidate at a time.
     """
     from repro.window.batched import batched_mws
+    from repro.window.simulator import fits_dense
 
-    return batched_mws(program, ts, array=array, engine=engine)
-
-
-def _eval_task(payload) -> tuple[int, dict[str, int]]:
-    """Single-candidate worker entry point (kept for compatibility;
-    the pool path submits chunks via :func:`_eval_batch_task`)."""
-    program, array, rows, engine = payload
-    t = None if rows is None else IntMatrix(rows)
-    value = _eval_one(program, array, t, engine)
-    worker_obs = obs.get_observer()
-    if worker_obs is None:
-        return value, {}
-    delta = dict(worker_obs.counters)
-    worker_obs.counters.clear()
-    return value, delta
+    if not fits_dense(program):
+        return [_eval_one(program, array, t) for t in ts]
+    return batched_mws(program, ts, array=array)
 
 
 def _eval_batch_task(payload) -> tuple[list[int], dict[str, int]]:
@@ -299,9 +277,9 @@ def _eval_batch_task(payload) -> tuple[list[int], dict[str, int]]:
     never double-reports; the parent merges the deltas, making serial
     and parallel counter totals match.
     """
-    program, array, rows_list, engine = payload
+    program, array, rows_list = payload
     ts = [None if rows is None else IntMatrix(rows) for rows in rows_list]
-    values = _score_misses(program, array, ts, engine)
+    values = _score_misses(program, array, ts)
     worker_obs = obs.get_observer()
     if worker_obs is None:
         return values, {}
@@ -316,7 +294,6 @@ def evaluate_exact(
     array: str | None = None,
     workers: int | None = 0,
     stage: str = "evaluate",
-    engine: str = "auto",
     store=None,
     parametric: bool = False,
 ) -> list[int]:
@@ -331,9 +308,7 @@ def evaluate_exact(
 
     ``stage`` names the journal stage for the per-candidate records (the
     cascade's lower-bound batches record as ``"lower_bound"`` so they
-    stay out of the ranked candidate table); ``engine`` picks the window
-    engine (see :data:`repro.window.ENGINES`) — the cache key is
-    engine-independent because all engines agree exactly.  ``store``
+    stay out of the ranked candidate table).  ``store``
     (a :class:`repro.store.ResultStore`) persists each exact value, so a
     later process skips the simulation entirely.
 
@@ -363,7 +338,7 @@ def evaluate_exact(
         if hit is None and parametric:
             value = parametric_value(
                 program, "mws", array=array, transformation=t,
-                store=store, engine=engine,
+                store=store,
             )
             if value is not None:
                 substituted += 1
@@ -386,7 +361,7 @@ def evaluate_exact(
     obs.counter("search.cache.hits", len(candidates) - len(misses) - substituted)
     obs.counter("search.cache.misses", len(misses))
     if misses:
-        parallel = workers > 1 and len(misses) >= parallel_threshold()
+        parallel = workers > 1 and len(misses) >= PARALLEL_THRESHOLD
         with obs.span(
             "evaluate",
             candidates=len(candidates),
@@ -412,7 +387,6 @@ def evaluate_exact(
                         program,
                         array,
                         [_t_key(candidates[idx]) for idx in group],
-                        engine,
                     )
                     for group in groups
                 ]
@@ -430,7 +404,7 @@ def evaluate_exact(
             else:
                 values = _score_misses(
                     program, array,
-                    [candidates[idx] for idx in misses], engine,
+                    [candidates[idx] for idx in misses],
                 )
         for idx, value in zip(misses, values):
             results[idx] = value
@@ -490,7 +464,6 @@ def evaluate_cascade(
     array: str | None = None,
     workers: int | None = 0,
     clip_budget: int | None = None,
-    engine: str = "auto",
     store=None,
     parametric: bool = False,
 ) -> list[CascadeOutcome]:
@@ -506,7 +479,7 @@ def evaluate_cascade(
     without simulation — admissible, so the strict-< first-wins winner
     is identical to :func:`evaluate_exact` over all candidates.  The
     first candidate is never pruned, so at least one outcome is exact.
-    Survivors are simulated in windows of ``REPRO_BATCH_SIZE`` through
+    Survivors are simulated in windows of ``BATCH_SIZE`` through
     the batched engine (the first window is a single candidate, so the
     incumbent exists before batching); a window sees the incumbent as
     of the last flush, which can only *add* simulations relative to the
@@ -530,7 +503,7 @@ def evaluate_cascade(
     workers = _resolve_workers(workers)
     sig = program.signature()
     jr = journal.active()
-    budget = bounds.clip_budget() if clip_budget is None else clip_budget
+    budget = bounds.CLIP_BUDGET if clip_budget is None else clip_budget
 
     cascade_key = None
     if store is not None and jr is None:
@@ -582,19 +555,19 @@ def evaluate_cascade(
         with obs.span("cascade.lower_bound", candidates=len(candidates)):
             lower_bounds = evaluate_exact(
                 clipped, candidates, array=array, workers=workers,
-                stage="lower_bound", engine=engine, store=store,
+                stage="lower_bound", store=store,
             )
         obs.counter("search.cascade.lb_evals", len(candidates))
 
     # Survivors are simulated in *windows* through the batched engine.
     # The first window has size 1 — the first survivor always simulates
     # alone, establishing the incumbent before any batching — and later
-    # windows use the REPRO_BATCH_SIZE knob.  Pruning decisions inside a
+    # windows use BATCH_SIZE.  Pruning decisions inside a
     # window see the incumbent as of the last flush (plus cache hits),
     # so the windowed cascade simulates a superset of the sequential
     # one; every reported exact value is the true MWS either way, and
     # the strict-< first-wins winner is identical.
-    from repro.window.batched import batch_size
+    from repro.window import batched
 
     incumbent: int | None = None
     tier1_pruned = tier2_pruned = simulated = 0
@@ -608,7 +581,7 @@ def evaluate_cascade(
             return
         values = evaluate_exact(
             program, [candidates[i] for i in pending], array=array,
-            workers=workers, engine=engine, store=store,
+            workers=workers, store=store,
             parametric=parametric,
         )
         for i, value in zip(pending, values):
@@ -616,7 +589,7 @@ def evaluate_cascade(
             if incumbent is None or value < incumbent:
                 incumbent = value
         pending.clear()
-        window = batch_size()
+        window = batched.BATCH_SIZE
 
     for idx, t in enumerate(candidates):
         hit = _EXACT_CACHE.get((sig, array, _t_key(t)))
@@ -793,7 +766,6 @@ def search_mws_2d(
     bound: int = 8,
     verify_top: int = 6,
     workers: int = 0,
-    engine: str = "auto",
     store=None,
     parametric: bool = False,
 ) -> SearchResult:
@@ -916,7 +888,7 @@ def search_mws_2d(
         leaders = collected[:verify_top]
         exacts = evaluate_exact(
             program, [t for _, t in leaders], array=array, workers=workers,
-            engine=engine, store=store, parametric=parametric,
+            store=store, parametric=parametric,
         )
         best = None
         for (estimate, t), exact in zip(leaders, exacts):
@@ -939,7 +911,6 @@ def search_mws_3d(
     bound: int = 1,
     verify_top: int = 4,
     workers: int = 0,
-    engine: str = "auto",
     store=None,
     parametric: bool = False,
 ) -> SearchResult:
@@ -1021,7 +992,7 @@ def search_mws_3d(
             candidates.sort(key=level_key)
         leaders = candidates[:verify_top]
         exacts = evaluate_exact(
-            program, leaders, array=array, workers=workers, engine=engine,
+            program, leaders, array=array, workers=workers,
             store=store, parametric=parametric,
         )
         best = None
@@ -1039,7 +1010,6 @@ def search_general(
     program: Program,
     array: str,
     workers: int = 0,
-    engine: str = "auto",
     store=None,
     parametric: bool = False,
 ) -> SearchResult:
@@ -1098,7 +1068,7 @@ def search_general(
         obs.counter("search.candidates.examined", examined)
         ordered = list(candidates)
         outcomes = evaluate_cascade(
-            program, ordered, array=array, workers=workers, engine=engine,
+            program, ordered, array=array, workers=workers,
             store=store, parametric=parametric,
         )
         best = None
@@ -1121,7 +1091,6 @@ def search_best_transformation(
     array: str,
     bound: int = 6,
     workers: int = 0,
-    engine: str = "auto",
     store=None,
     parametric: bool = False,
 ) -> SearchResult:
@@ -1129,16 +1098,16 @@ def search_best_transformation(
     depth = program.nest.depth
     if depth == 2:
         return search_mws_2d(
-            program, array, bound=bound, workers=workers, engine=engine,
+            program, array, bound=bound, workers=workers,
             store=store, parametric=parametric,
         )
     if depth == 3:
         return search_mws_3d(
             program, array, bound=min(bound, 2), workers=workers,
-            engine=engine, store=store, parametric=parametric,
+            store=store, parametric=parametric,
         )
     return search_general(
-        program, array, workers=workers, engine=engine, store=store,
+        program, array, workers=workers, store=store,
         parametric=parametric,
     )
 
@@ -1149,7 +1118,6 @@ def exhaustive_search(
     bound: int = 1,
     tileable_only: bool = True,
     workers: int = 0,
-    engine: str = "auto",
     store=None,
     parametric: bool = False,
 ) -> SearchResult:
@@ -1192,7 +1160,7 @@ def exhaustive_search(
         if not legal:
             raise ValueError(f"no legal transformation found for {array}")
         outcomes = evaluate_cascade(
-            program, legal, array=array, workers=workers, engine=engine,
+            program, legal, array=array, workers=workers,
             store=store, parametric=parametric,
         )
         best = None

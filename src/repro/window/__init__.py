@@ -12,15 +12,8 @@ specialized sweep kernels (:mod:`repro.window.batched`), and the paper's
 closed-form estimates for 2-D (eq. (2)) and 3-D (Section 4.3) nests.
 """
 
-from repro.window.batched import (
-    KERNEL_MODES,
-    batch_size,
-    batched_mws,
-    clear_kernel_cache,
-    kernel_mode,
-)
+from repro.window.batched import batched_mws, clear_kernel_cache
 from repro.window.simulator import (
-    ENGINES,
     LivenessProfile,
     WindowProfile,
     element_lifetimes,
@@ -28,11 +21,10 @@ from repro.window.simulator import (
     max_total_window,
     max_window_size,
     record_liveness,
-    resolve_engine,
     window_profile,
 )
 from repro.window.streaming import (
-    DEFAULT_CHUNK,
+    STREAM_CHUNK,
     max_total_window_streaming,
     max_window_size_streaming,
 )
@@ -55,16 +47,11 @@ from repro.window.zhao_malik import (
 )
 
 __all__ = [
-    "DEFAULT_CHUNK",
-    "ENGINES",
-    "KERNEL_MODES",
-    "batch_size",
+    "STREAM_CHUNK",
     "batched_mws",
     "clear_kernel_cache",
-    "kernel_mode",
     "LivenessProfile",
     "WindowProfile",
-    "resolve_engine",
     "max_window_size_streaming",
     "max_total_window_streaming",
     "max_total_window_zhao_malik",

@@ -16,16 +16,13 @@ pending candidates at once:
   int64 pack falls back to ``np.lexsort`` dense ranks for its key row
   only and still joins the batched sweep.
 * the sweep itself is a *specialized kernel*: :mod:`repro.ir.codegen`
-  emits a flat numpy (or C-via-cffi) function for this exact
-  nest/reference structure with every size baked in, compiled here and
-  cached by program signature.  ``REPRO_KERNEL=python`` (default) execs
-  the numpy source, ``c`` compiles via cffi when available (falling
-  back to python with a ``kernel.fallback`` counter — CI has no cffi),
-  ``off`` uses a generic non-specialized batched sweep.
+  emits a flat numpy function for this exact nest/reference structure
+  with every size baked in, exec'd here and cached by program
+  signature.  :func:`_generic_sweep` is the same sweep without
+  specialization, kept as the oracle the kernels are tested against.
 
 Counters: ``batch.candidates`` (candidates entering a batch),
-``kernel.specialized`` (kernel builds), ``kernel.fallback`` (C
-requested but unavailable).  The batched path bumps
+``kernel.specialized`` (kernel builds).  The batched path bumps
 ``fast.simulate.calls`` and ``engine.fast.calls`` once per candidate so
 serial, parallel, and batched totals reconcile exactly.
 
@@ -39,45 +36,24 @@ computes the same answer.)
 
 from __future__ import annotations
 
-import hashlib
-import importlib
-import sys
-import tempfile
 from collections import OrderedDict
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.envutil import env_choice, env_int
 from repro.ir import codegen
-from repro.ir.codegen import (
-    SweepArraySpec,
-    sweep_kernel_c_source,
-    sweep_kernel_source,
-)
+from repro.ir.codegen import SweepArraySpec, sweep_kernel_source
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
 from repro.window import fast
 
-#: Environment variable selecting the sweep-kernel backend.
-KERNEL_ENV = "REPRO_KERNEL"
-
-#: Accepted ``REPRO_KERNEL`` values: ``python`` (default) execs the
-#: specialized numpy source, ``c`` compiles it via cffi (falls back to
-#: python when cffi or a compiler is missing), ``off`` disables
-#: specialization and uses the generic batched sweep.
-KERNEL_MODES = ("python", "c", "off")
-
-#: Environment variable overriding the scoring batch size.
-BATCH_SIZE_ENV = "REPRO_BATCH_SIZE"
-
-#: Default candidates per batch for the cascade's survivor windows.
+#: Candidates per batch for the cascade's survivor windows.
 #: Measured on the Figure-2 table: the per-batch win saturates around
 #: 8-16 survivors (key computation amortizes; the sweep is already one
 #: call), while larger windows delay incumbent updates and simulate
 #: candidates a tighter window would have pruned.
-DEFAULT_BATCH_SIZE = 16
+BATCH_SIZE = 16
 
 #: Magnitude ceiling for values entering the vectorized int64 candidate
 #: prep.  The true wrap limit is 2**63; screening at 2**58 leaves room
@@ -95,17 +71,7 @@ _SAFE_PREP32 = float(1 << 27)
 _CHUNK_ELEMS = 1 << 24
 
 
-def kernel_mode() -> str:
-    """Sweep-kernel backend (env-overridable, validated)."""
-    return env_choice(KERNEL_ENV, "python", KERNEL_MODES)
-
-
-def batch_size() -> int:
-    """Candidates per scoring batch (env-overridable)."""
-    return env_int(BATCH_SIZE_ENV, DEFAULT_BATCH_SIZE)
-
-
-#: ``(program signature, arrays, backend)`` -> compiled sweep callable.
+#: ``(program signature, arrays)`` -> compiled sweep callable.
 _KERNELS: "OrderedDict[tuple, Callable[[np.ndarray], np.ndarray]]" = (
     OrderedDict()
 )
@@ -442,7 +408,7 @@ def _padded_index(st: fast._ElementState, n_acc: int, width: int) -> np.ndarray:
 def _generic_sweep(
     states: Sequence[fast._ElementState], keys: np.ndarray
 ) -> np.ndarray:
-    """Non-specialized batched sweep (``REPRO_KERNEL=off``).
+    """Non-specialized batched sweep, the oracle for the emitted kernels.
 
     Same two regime bodies as the emitted kernels (see the correctness
     note in :mod:`repro.ir.codegen`), selected at runtime instead of
@@ -500,82 +466,15 @@ def _compile_python(
     return namespace["sweep"]
 
 
-def _compile_c(
-    program: Program, arrays: Sequence[str]
-) -> "Callable[[np.ndarray], np.ndarray] | None":
-    """cffi-compiled specialized sweep, or ``None`` when unavailable.
-
-    Any failure — cffi missing (CI does not install it), no C compiler,
-    build error — returns ``None`` and the caller falls back to the
-    python kernel with a ``kernel.fallback`` counter.
-    """
-    try:
-        import cffi
-    except ImportError:
-        return None
-    states = _array_states(program, arrays)
-    specs = _array_specs(arrays, states)
-    n_points = fast._iter_state(program).points.shape[0]
-    cdef, source = sweep_kernel_c_source(specs, n_points)
-    digest = hashlib.sha1(
-        (program.signature() + "|" + "|".join(arrays)).encode()
-    ).hexdigest()[:16]
-    modname = f"_repro_sweep_{digest}"
-    try:
-        module = sys.modules.get(modname)
-        if module is None:
-            builder = cffi.FFI()
-            builder.cdef(cdef)
-            builder.set_source(modname, source)
-            tmpdir = tempfile.mkdtemp(prefix="repro-kernel-")
-            builder.compile(tmpdir=tmpdir, verbose=False)
-            sys.path.insert(0, tmpdir)
-            try:
-                module = importlib.import_module(modname)
-            finally:
-                sys.path.remove(tmpdir)
-    except Exception:
-        return None
-    ffi, lib = module.ffi, module.lib
-    layout_ptrs = []
-    buffers = []  # keep the contiguous arrays alive with the closure
-    for st in states:
-        pr = np.ascontiguousarray(st.point_row, dtype=np.int64)
-        ss = np.ascontiguousarray(st.seg_starts, dtype=np.int64)
-        buffers.extend((pr, ss))
-        layout_ptrs.append(ffi.cast("const long long *", ffi.from_buffer(pr)))
-        layout_ptrs.append(ffi.cast("const long long *", ffi.from_buffer(ss)))
-
-    def sweep(keys: np.ndarray) -> np.ndarray:
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        out = np.empty(keys.shape[0], dtype=np.int64)
-        lib.repro_sweep(
-            ffi.cast("const long long *", ffi.from_buffer(keys)),
-            keys.shape[0],
-            *layout_ptrs,
-            ffi.cast("long long *", ffi.from_buffer(out)),
-        )
-        return out
-
-    sweep._buffers = buffers  # type: ignore[attr-defined]
-    return sweep
-
-
 def _sweep_kernel(
-    program: Program, arrays: tuple[str, ...], mode: str
+    program: Program, arrays: tuple[str, ...]
 ) -> Callable[[np.ndarray], np.ndarray]:
-    key = (program.signature(), arrays, mode)
+    key = (program.signature(), arrays)
     kernel = _KERNELS.get(key)
     if kernel is not None:
         _KERNELS.move_to_end(key)
         return kernel
-    if mode == "c":
-        kernel = _compile_c(program, arrays)
-        if kernel is None:
-            obs.counter("kernel.fallback")
-            kernel = _compile_python(program, arrays)
-    else:
-        kernel = _compile_python(program, arrays)
+    kernel = _compile_python(program, arrays)
     obs.counter("kernel.specialized")
     _KERNELS[key] = kernel
     while len(_KERNELS) > _KERNELS_LIMIT:
@@ -587,7 +486,6 @@ def batched_mws(
     program: Program,
     candidates: Sequence[IntMatrix | None],
     array: str | None = None,
-    engine: str = "auto",
 ) -> list[int]:
     """Exact MWS of every candidate transformation, scored as one batch.
 
@@ -596,28 +494,12 @@ def batched_mws(
     :func:`repro.window.simulator.max_window_size` /
     ``max_total_window`` per candidate (the differential suite pins
     this), including ``ValueError`` for non-unimodular candidates and
-    ``KeyError`` for unknown arrays.  Only the dense numpy engine has a
-    batched formulation; when ``engine`` resolves to anything else the
-    candidates are scored per-candidate through the resolved engine.
+    ``KeyError`` for unknown arrays.  Dense nests only: past
+    :data:`repro.window.fast.DENSE_BUDGET` the iteration matrix does not
+    exist and this raises ``ValueError`` (score per candidate through
+    the simulator, which streams).
     """
-    from repro.window.simulator import (
-        max_total_window,
-        max_window_size,
-        resolve_engine,
-    )
-
     obs.counter("batch.candidates", len(candidates))
-    resolved = resolve_engine(program, engine)
-    if resolved != "fast":
-        if array is None:
-            return [
-                max_total_window(program, t, engine=resolved)
-                for t in candidates
-            ]
-        return [
-            max_window_size(program, array, t, engine=resolved)
-            for t in candidates
-        ]
     arrays = (array,) if array is not None else tuple(program.arrays)
     if array is not None and not program.refs_to(array):
         raise KeyError(array)
@@ -627,7 +509,6 @@ def batched_mws(
         return []
     if not arrays:
         return [0] * len(candidates)
-    mode = kernel_mode()
     total = fast._iter_state(program).points.shape[0]
     chunk = max(1, _CHUNK_ELEMS // max(1, total))
     values: list[int] = []
@@ -636,9 +517,5 @@ def batched_mws(
     ):
         for start in range(0, len(candidates), chunk):
             keys = _batched_time_keys(program, candidates[start : start + chunk])
-            if mode == "off":
-                peaks = _generic_sweep(_array_states(program, arrays), keys)
-            else:
-                peaks = _sweep_kernel(program, arrays, mode)(keys)
-            values.extend(peaks.tolist())
+            values.extend(_sweep_kernel(program, arrays)(keys).tolist())
     return values

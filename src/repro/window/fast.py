@@ -24,14 +24,12 @@ Two layers of caching keep the search hot path cheap:
 from __future__ import annotations
 
 import math
-import os
 from collections import OrderedDict
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.envutil import env_int
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
 
@@ -41,19 +39,11 @@ from repro.linalg import IntMatrix
 #: estimators or the streaming engine, not the dense simulator.
 _INT64_LIMIT = 2**62
 
-#: Environment variable overriding the dense-enumeration budget.
-DENSE_BUDGET_ENV = "REPRO_DENSE_BUDGET"
-
-#: Default ceiling on dense enumeration (iterations).  2**26 points keep
-#: the ``(N, n)`` matrix and its per-array id arrays within ~2 GiB for
-#: typical depths; beyond it ``engine="auto"`` switches to the streaming
-#: engine (:mod:`repro.window.streaming`).
-DEFAULT_DENSE_BUDGET = 2**26
-
-
-def dense_budget() -> int:
-    """Iteration ceiling for dense enumeration (env-overridable)."""
-    return env_int(DENSE_BUDGET_ENV, DEFAULT_DENSE_BUDGET)
+#: Ceiling on dense enumeration (iterations).  2**26 points keep the
+#: ``(N, n)`` matrix and its per-array id arrays within ~2 GiB for
+#: typical depths; beyond it :func:`repro.window.simulator.max_window_size`
+#: switches to the streaming engine (:mod:`repro.window.streaming`).
+DENSE_BUDGET = 2**26
 
 
 class _ElementState(NamedTuple):
@@ -107,12 +97,11 @@ def _iter_state(program: Program) -> _IterState:
     n = program.nest.depth
     # math.prod over Python ints cannot wrap, unlike np.prod over int64.
     total = math.prod(int(t) for t in trips)
-    budget = min(dense_budget(), _INT64_LIMIT)
+    budget = min(DENSE_BUDGET, _INT64_LIMIT)
     if total > budget:
         raise ValueError(
             f"nest has {total} iterations; dense enumeration exceeds the "
-            f"budget of {budget} (use the streaming engine, or raise "
-            f"{DENSE_BUDGET_ENV})"
+            f"budget of {budget} (use the streaming engine)"
         )
     points = np.empty((total, n), dtype=np.int64)
     repeat = total

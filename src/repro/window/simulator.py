@@ -328,34 +328,16 @@ def window_profile(
     return WindowProfile(array, tuple(int(v) for v in sizes))
 
 
-#: Engine names accepted by :func:`max_window_size` / :func:`max_total_window`.
-#: All are exact and pinned equal by the differential suite; they differ
-#: in cost model: ``reference`` (pure Python, ground truth), ``fast``
-#: (dense numpy, O(N) memory), ``streaming`` (chunked, O(chunk+distinct)
-#: memory), ``zhao_malik`` (two-pointer sweep).  ``auto`` picks ``fast``
-#: while the nest fits the dense budget and ``streaming`` beyond it.
-ENGINES = ("auto", "reference", "fast", "streaming", "zhao_malik")
+def fits_dense(program: Program) -> bool:
+    """Whether the nest is small enough for dense enumeration.
 
-
-def resolve_engine(program: Program, engine: str = "auto") -> str:
-    """Resolve ``"auto"`` to a concrete engine for this program.
-
-    ``auto`` chooses the dense numpy engine while the nest's iteration
-    count fits ``REPRO_DENSE_BUDGET`` (see
-    :func:`repro.window.fast.dense_budget`) and the streaming engine
-    beyond it.  Raises ``ValueError`` for unknown engine names.
+    The one engine choice in the package: the dense numpy engine while
+    the iteration count fits :data:`repro.window.fast.DENSE_BUDGET`, the
+    streaming engine (O(chunk + distinct) memory) beyond it.
     """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown window engine {engine!r}; choose one of {ENGINES}"
-        )
-    if engine != "auto":
-        return engine
-    from repro.window.fast import dense_budget
+    from repro.window import fast
 
-    if program.nest.total_iterations <= dense_budget():
-        return "fast"
-    return "streaming"
+    return program.nest.total_iterations <= fast.DENSE_BUDGET
 
 
 def max_window_size(
@@ -363,16 +345,12 @@ def max_window_size(
     array: str,
     transformation: IntMatrix | None = None,
     profile: bool = False,
-    engine: str = "auto",
 ) -> int:
     """Exact MWS of one array under the given execution order.
 
     ``profile=True`` records the liveness profile into the active
-    observer's metrics (no-op while observability is disabled; the
-    streaming engine ignores it — occupancy trajectories are O(N)).
-    ``engine`` selects the implementation (see :data:`ENGINES`); the
-    default ``"auto"`` uses the dense numpy engine while the nest fits
-    the dense budget and streams beyond it.
+    observer's metrics (no-op while observability is disabled; ignored
+    past the dense budget, where occupancy trajectories are O(N)).
 
     >>> from repro.ir import parse_program
     >>> p = parse_program('''
@@ -384,29 +362,15 @@ def max_window_size(
     ... ''')
     >>> max_window_size(p, "X")
     44
-    >>> max_window_size(p, "X", engine="streaming")
-    44
     """
-    resolved = resolve_engine(program, engine)
-    obs.counter(f"engine.{resolved}.calls")
-    if resolved == "reference":
-        return max_window_size_reference(
-            program, array, transformation, profile=profile
-        )
-    if resolved == "streaming":
+    if not fits_dense(program):
         from repro.window.streaming import max_window_size_streaming
 
-        return max_window_size_streaming(
-            program, array, transformation, profile=profile
-        )
-    if resolved == "zhao_malik":
-        from repro.window.zhao_malik import max_window_size_zhao_malik
-
-        return max_window_size_zhao_malik(
-            program, array, transformation, profile=profile
-        )
+        obs.counter("engine.streaming.calls")
+        return max_window_size_streaming(program, array, transformation)
     from repro.window.fast import max_window_size_fast
 
+    obs.counter("engine.fast.calls")
     return max_window_size_fast(program, array, transformation, profile=profile)
 
 
@@ -415,30 +379,21 @@ def max_total_window(
     transformation: IntMatrix | None = None,
     arrays: Sequence[str] | None = None,
     profile: bool = False,
-    engine: str = "auto",
 ) -> int:
     """Exact MWS summed over arrays: ``max_t sum_X |W_X(t)|``.
 
     This is the paper's multi-array window (Section 2.3) — the minimum
     on-chip data memory for the whole nest.  Note it is the max of the
     sum, not the sum of per-array maxima.  ``profile=True`` records a
-    per-array liveness profile for every array involved (dense engines
-    only).  ``engine`` selects the implementation (see :data:`ENGINES`).
+    per-array liveness profile for every array involved (dense nests
+    only).
     """
-    resolved = resolve_engine(program, engine)
-    obs.counter(f"engine.{resolved}.calls")
-    if resolved == "reference":
-        return max_total_window_reference(program, transformation, arrays)
-    if resolved == "streaming":
+    if not fits_dense(program):
         from repro.window.streaming import max_total_window_streaming
 
-        return max_total_window_streaming(
-            program, transformation, arrays, profile=profile
-        )
-    if resolved == "zhao_malik":
-        from repro.window.zhao_malik import max_total_window_zhao_malik
-
-        return max_total_window_zhao_malik(program, transformation, arrays)
+        obs.counter("engine.streaming.calls")
+        return max_total_window_streaming(program, transformation, arrays)
     from repro.window.fast import max_total_window_fast
 
+    obs.counter("engine.fast.calls")
     return max_total_window_fast(program, transformation, arrays, profile=profile)

@@ -7,7 +7,7 @@ from their linear index, each block's accesses are reduced to per-element
 a compressed per-array lifetime store.  Peak memory is
 ``O(chunk + distinct elements)`` instead of ``O(N)``, which lifts the
 dense-enumeration budget of :mod:`repro.window.fast` — nests far beyond
-``REPRO_DENSE_BUDGET`` iterations stay searchable.
+``DENSE_BUDGET`` iterations stay searchable.
 
 Exactness: like the fast engine's MWS path, time is represented by
 *order-isomorphic* integer keys (the linear iteration index in native
@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.envutil import env_int
 from repro.ir.program import Program
 from repro.linalg import IntMatrix
 from repro.window.fast import (
@@ -40,19 +39,11 @@ from repro.window.fast import (
     _peak_concurrent,
 )
 
-#: Default iterations decoded per block.  ``repro bench --chunk-sweep``
-#: emits one BENCH artifact per candidate size to justify this in-repo;
-#: 65536 sits on the flat part of the sweep (big enough to amortize the
+#: Iterations decoded per block.  ``repro bench --chunk-sweep`` emits
+#: one BENCH artifact per candidate size to justify this in-repo; 65536
+#: sits on the flat part of the sweep (big enough to amortize the
 #: per-chunk numpy dispatch, small enough to stay cache-resident).
-DEFAULT_CHUNK = 65536
-
-#: Environment variable overriding the chunk size.
-CHUNK_ENV = "REPRO_STREAM_CHUNK"
-
-
-def stream_chunk() -> int:
-    """Block size used by the streaming engine (env-overridable)."""
-    return env_int(CHUNK_ENV, DEFAULT_CHUNK)
+STREAM_CHUNK = 65536
 
 
 def _decode_block(
@@ -271,14 +262,14 @@ def max_window_size_streaming(
 ) -> int:
     """Exact MWS of one array, computed in O(chunk + distinct) memory.
 
-    ``profile`` is accepted for engine-dispatch compatibility but
-    ignored: occupancy trajectories are inherently O(N) and belong to
-    the dense engines.
+    ``chunk`` defaults to :data:`STREAM_CHUNK`.  ``profile`` is accepted
+    but ignored: occupancy trajectories are inherently O(N) and belong
+    to the dense engine.
     """
     del profile
     obs.counter("streaming.simulate.calls")
     with obs.span("simulate.streaming", array=array):
-        size = chunk if chunk is not None else stream_chunk()
+        size = STREAM_CHUNK if chunk is None else chunk
         stores = _stream_lifetimes(program, (array,), transformation, size)
         first, last = stores[array].live_lifetimes()
         return _peak_concurrent(first, last)
@@ -303,7 +294,7 @@ def max_total_window_streaming(
         names = tuple(arrays) if arrays is not None else program.arrays
         if not names:
             return 0
-        size = chunk if chunk is not None else stream_chunk()
+        size = STREAM_CHUNK if chunk is None else chunk
         stores = _stream_lifetimes(program, names, transformation, size)
         starts = []
         ends = []

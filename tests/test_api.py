@@ -57,7 +57,7 @@ class TestBuildRequest:
         assert request.kind == "mws"
         assert request.kernel == "sor"
         assert request.target == "sor"
-        assert request.engine is None and request.timeout is None
+        assert request.timeout is None
 
     def test_kind_defaults_to_analyze(self):
         assert build_request({"kernel": "sor"}).kind == "analyze"
@@ -75,10 +75,6 @@ class TestBuildRequest:
     def test_non_mapping_rejected(self):
         with pytest.raises(ValueError, match="must be an object"):
             build_request("sor")
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine 'warp'"):
-            build_request({"kernel": "sor", "engine": "warp"})
 
     def test_bad_timeout_rejected(self):
         with pytest.raises(ValueError, match="timeout must be > 0"):
@@ -342,9 +338,59 @@ class TestServiceReadSide:
 
 
 # Module-level so the service can pickle them to pool workers.
-def _hang_evaluator(kind, program, array, engine, store):
+def _hang_evaluator(kind, program, array, store):
     time.sleep(30)
 
 
-def _explode_evaluator(kind, program, array, engine, store):
+def _explode_evaluator(kind, program, array, store):
     raise RuntimeError("kaboom")
+
+
+# ----------------------------------------------------------------------
+# warm detection: the request's own counter delta, memo hits included
+# ----------------------------------------------------------------------
+
+def _clear_memos():
+    from repro.estimation.parametric import clear_param_cache
+    from repro.transform.search import clear_search_cache
+    from repro.window.fast import clear_iteration_cache
+
+    clear_exact_cache()
+    clear_search_cache()
+    clear_param_cache()
+    clear_iteration_cache()
+
+
+class TestWarmFlag:
+    """First request computes (cold); the identical repeat does no fresh
+    work — answered by an in-process memo or the store — and is warm."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_inline_repeat_is_warm(self, kind, tmp_path, observer):
+        _clear_memos()
+        request = build_request({"kind": kind, "kernel": "sor"})
+        with AnalysisService(store=tmp_path, workers=0) as svc:
+            cold = svc.evaluate(request)
+            warm = svc.evaluate(request)
+        assert cold.ok and cold.warm is False
+        assert warm.ok and warm.warm is True
+        assert warm.result == cold.result
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pooled_repeat_is_warm(self, kind, tmp_path, observer):
+        _clear_memos()  # the forked worker inherits the parent's memos
+        request = build_request({"kind": kind, "kernel": "sor"})
+        with AnalysisService(store=tmp_path, workers=1) as svc:
+            cold = svc.submit(request)
+            warm = svc.submit(request)
+        assert cold.ok and cold.warm is False
+        assert warm.ok and warm.warm is True
+        assert warm.result == cold.result
+
+    def test_no_observer_means_unknown(self):
+        obs.disable()
+        with AnalysisService() as svc:
+            response = svc.evaluate(build_request(
+                {"kind": "mws", "kernel": "2point"}
+            ))
+        assert response.ok and response.warm is None

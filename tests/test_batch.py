@@ -333,31 +333,31 @@ class TestTimeoutTelemetry:
 
 
 # Module-level so the batch machinery can pickle them to pool workers.
-def _sleepy_evaluator(kind, program, array, engine, store):
+def _sleepy_evaluator(kind, program, array, store):
     if program.name == "sor":
         time.sleep(30)
     from repro.store.batch import _default_evaluator
 
-    return _default_evaluator(kind, program, array, engine, store)
+    return _default_evaluator(kind, program, array, store)
 
 
-def _explosive_evaluator(kind, program, array, engine, store):
+def _explosive_evaluator(kind, program, array, store):
     if program.name == "sor":
         raise RuntimeError("boom")
     from repro.store.batch import _default_evaluator
 
-    return _default_evaluator(kind, program, array, engine, store)
+    return _default_evaluator(kind, program, array, store)
 
 
-def _hang_all_but_2point_evaluator(kind, program, array, engine, store):
+def _hang_all_but_2point_evaluator(kind, program, array, store):
     if program.name != "2point":
         time.sleep(30)
     from repro.store.batch import _default_evaluator
 
-    return _default_evaluator(kind, program, array, engine, store)
+    return _default_evaluator(kind, program, array, store)
 
 
-def _counting_sleepy_evaluator(kind, program, array, engine, store):
+def _counting_sleepy_evaluator(kind, program, array, store):
     if program.name == "sor":
         # Accrue telemetry, then blow the deadline: the bumped counter
         # must come back to the parent via the heartbeat snapshot.
@@ -365,4 +365,31 @@ def _counting_sleepy_evaluator(kind, program, array, engine, store):
         time.sleep(30)
     from repro.store.batch import _default_evaluator
 
-    return _default_evaluator(kind, program, array, engine, store)
+    return _default_evaluator(kind, program, array, store)
+
+
+class TestWarmDefinition:
+    """Warm means the item's counter delta shows no fresh work."""
+
+    @pytest.mark.parametrize("counter", [
+        "engine.fast.calls",
+        "engine.streaming.calls",
+        "param.derived",
+        "param.derive_failed",
+        "store.misses",
+    ])
+    def test_fresh_work_is_cold(self, counter):
+        from repro.store.batch import _is_warm
+
+        assert not _is_warm({"store.mem.hits": 3, counter: 1})
+
+    @pytest.mark.parametrize("delta", [
+        {},
+        {"search.cache.hits": 4},
+        {"store.mem.hits": 2, "store.disk.hits": 1},
+        {"engine.fast.calls": 0, "store.misses": 0},
+    ], ids=["nothing", "memo-hit", "store-hit", "zero-entries"])
+    def test_memo_and_store_answers_are_warm(self, delta):
+        from repro.store.batch import _is_warm
+
+        assert _is_warm(delta)

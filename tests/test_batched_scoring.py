@@ -3,8 +3,9 @@
 ``window.batched.batched_mws`` must be value-identical to scoring each
 candidate through ``simulator.max_window_size`` / ``max_total_window``
 — for random programs at depths 2-4, multi-reference arrays, ``None``
-and overflow candidates, and under every ``REPRO_KERNEL`` backend — and
-its counters must reconcile with the serial path's.
+and overflow candidates — the specialized kernel must equal the generic
+batched sweep on the same keys, and its counters must reconcile with
+the serial path's.
 """
 
 from __future__ import annotations
@@ -50,12 +51,8 @@ def _candidate_pool(depth: int, seed: int) -> list[IntMatrix | None]:
 
 def _serial_values(program, candidates, array):
     if array is None:
-        return [
-            max_total_window(program, t, engine="fast") for t in candidates
-        ]
-    return [
-        max_window_size(program, array, t, engine="fast") for t in candidates
-    ]
+        return [max_total_window(program, t) for t in candidates]
+    return [max_window_size(program, array, t) for t in candidates]
 
 
 _CONFIGS = [
@@ -73,24 +70,22 @@ class TestDifferentialParity:
         program = random_program(seed * 31 + cfg.depth, cfg)
         candidates = _candidate_pool(program.nest.depth, seed)
         for array in [None, *program.arrays]:
-            got = batched.batched_mws(
-                program, candidates, array=array, engine="fast"
-            )
+            got = batched.batched_mws(program, candidates, array=array)
             assert got == _serial_values(program, candidates, array), (
                 f"array={array}"
             )
 
-    @pytest.mark.parametrize("mode", batched.KERNEL_MODES)
-    def test_all_kernel_modes_agree(self, mode, monkeypatch):
-        monkeypatch.setenv(batched.KERNEL_ENV, mode)
-        clear_iteration_cache()
-        program = random_program(5, GeneratorConfig(depth=2, max_trip=8))
-        candidates = _candidate_pool(2, 5)
-        for array in [None, *program.arrays]:
-            got = batched.batched_mws(
-                program, candidates, array=array, engine="fast"
-            )
-            assert got == _serial_values(program, candidates, array)
+    @pytest.mark.parametrize("cfg", _CONFIGS, ids=lambda c: f"depth{c.depth}")
+    def test_specialized_kernel_matches_generic_sweep(self, cfg):
+        program = random_program(5 * cfg.depth, cfg)
+        candidates = _candidate_pool(program.nest.depth, 5)
+        keys = batched._batched_time_keys(program, candidates)
+        for arrays in [tuple(program.arrays), *((a,) for a in program.arrays)]:
+            states = batched._array_states(program, arrays)
+            kernel = batched._sweep_kernel(program, arrays)
+            assert kernel(keys).tolist() == (
+                batched._generic_sweep(states, keys).tolist()
+            ), f"arrays={arrays}"
 
     def test_multi_reference_multi_array(self):
         program = parse_program(
@@ -101,18 +96,6 @@ class TestDifferentialParity:
         for array in [None, "A", "B"]:
             got = batched.batched_mws(program, candidates, array=array)
             assert got == _serial_values(program, candidates, array)
-
-    def test_non_fast_engine_scores_per_candidate(self):
-        program = random_program(3, GeneratorConfig(depth=2, max_trip=5))
-        candidates = _candidate_pool(2, 3)
-        array = program.arrays[0]
-        got = batched.batched_mws(
-            program, candidates, array=array, engine="reference"
-        )
-        assert got == [
-            max_window_size(program, array, t, engine="reference")
-            for t in candidates
-        ]
 
     def test_empty_candidates(self):
         program = random_program(1, GeneratorConfig(depth=2))
@@ -199,36 +182,34 @@ class TestCountersAndCache:
         clear_iteration_cache()
         assert len(batched._KERNELS) == 0
 
-    def test_c_mode_unavailable_falls_back_to_python(self, monkeypatch):
-        # Simulate the CI image (no cffi): mode "c" must transparently
-        # build the python kernel and count the fallback.
-        monkeypatch.setenv(batched.KERNEL_ENV, "c")
-        monkeypatch.setattr(batched, "_compile_c", lambda *a: None)
-        program = random_program(6, GeneratorConfig(depth=2, max_trip=6))
-        candidates = _candidate_pool(2, 6)
-        counters = self._counters(
-            lambda: batched.batched_mws(program, candidates, array=None)
-        )
-        assert counters["kernel.fallback"] == 1
-        clear_iteration_cache()
-        monkeypatch.setenv(batched.KERNEL_ENV, "python")
-        assert batched.batched_mws(
-            program, candidates, array=None
-        ) == _serial_values(program, candidates, None)
-
 
 class TestKnobs:
-    def test_kernel_mode_default_and_validation(self, monkeypatch):
-        monkeypatch.delenv(batched.KERNEL_ENV, raising=False)
-        assert batched.kernel_mode() == "python"
-        monkeypatch.setenv(batched.KERNEL_ENV, "off")
-        assert batched.kernel_mode() == "off"
-        monkeypatch.setenv(batched.KERNEL_ENV, "turbo")
-        with pytest.raises(ValueError):
-            batched.kernel_mode()
-
     def test_batch_size_knob(self, monkeypatch):
-        monkeypatch.delenv(batched.BATCH_SIZE_ENV, raising=False)
-        assert batched.batch_size() == batched.DEFAULT_BATCH_SIZE
-        monkeypatch.setenv(batched.BATCH_SIZE_ENV, "4")
-        assert batched.batch_size() == 4
+        # BATCH_SIZE is a module constant sizing the cascade's survivor
+        # windows after the first (single-candidate) one.
+        from repro.transform import search
+
+        program = random_program(8, GeneratorConfig(depth=2, max_trip=8))
+        candidates = [None] + list(signed_permutations(2))
+        sizes: list[int] = []
+        score = search._score_misses
+
+        def recording(program, array, ts):
+            sizes.append(len(ts))
+            return score(program, array, ts)
+
+        monkeypatch.setattr(search, "_score_misses", recording)
+
+        def windows():
+            clear_exact_cache()
+            sizes.clear()
+            outcomes = search.evaluate_cascade(program, candidates, array=None)
+            return [o.value for o in outcomes if o.exact], list(sizes)
+
+        assert batched.BATCH_SIZE == 16
+        exact, default_sizes = windows()
+        monkeypatch.setattr(batched, "BATCH_SIZE", 2)
+        exact_small, small_sizes = windows()
+        assert default_sizes[0] == small_sizes[0] == 1
+        assert max(small_sizes) == 2 < max(default_sizes) <= 16
+        assert min(exact_small) == min(exact)

@@ -27,6 +27,17 @@ class TestCli:
         assert "max window size" in out
         assert "86" in out
 
+    def test_engine_flag_is_rejected(self, loop_file, capsys):
+        # One window path: the retired --engine flag is an argparse error.
+        with pytest.raises(SystemExit) as info:
+            main(["--engine", "fast", "analyze", loop_file])
+        assert info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", loop_file, "--engine", "fast"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
     def test_dependences(self, loop_file, capsys):
         assert main(["dependences", loop_file]) == 0
         out = capsys.readouterr().out

@@ -1,28 +1,41 @@
-"""Validation of the numeric environment knobs and the workers count.
+"""Environment settings, the tuning constants, and the workers count.
 
-ISSUE 5 satellites: ``dense_budget()``, ``clip_budget()`` and
-``stream_chunk()`` all read their env var through the shared
-:func:`repro.envutil.env_int` helper, so a typo'd value fails fast with
-the variable's name in the message, and zero/negative budgets — which
-used to silently disable dense mode or tier-2 pruning — are rejected.
-Negative ``workers`` counts are rejected at the search entry point
-instead of surfacing as an opaque ``ProcessPoolExecutor`` error.
+Only deployment settings are read from the environment
+(``REPRO_STORE_DIR``, ``REPRO_STORE_LRU``, ``REPRO_LEDGER_DIR``,
+``REPRO_HEARTBEAT_S``); numeric ones go through
+:func:`repro.envutil.env_int`, so a typo'd value fails fast with the
+variable's name in the message.  Engine tuning (dense budget, stream
+chunk, batch size, clip budget, parallel threshold) is a set of module
+constants, and there is one window path, so no function takes an
+``engine`` argument.  Negative ``workers`` counts are rejected at the
+search entry point instead of surfacing as an opaque
+``ProcessPoolExecutor`` error.
 """
 
 from __future__ import annotations
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.envutil import env_int
-from repro.estimation.bounds import CLIP_BUDGET_ENV, DEFAULT_CLIP_BUDGET, clip_budget
-from repro.window.fast import DEFAULT_DENSE_BUDGET, DENSE_BUDGET_ENV, dense_budget
-from repro.window.streaming import CHUNK_ENV, DEFAULT_CHUNK, stream_chunk
 
-KNOBS = [
-    (DENSE_BUDGET_ENV, dense_budget, DEFAULT_DENSE_BUDGET),
-    (CLIP_BUDGET_ENV, clip_budget, DEFAULT_CLIP_BUDGET),
-    (CHUNK_ENV, stream_chunk, DEFAULT_CHUNK),
-]
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: The environment variables the package reads: deployment settings only.
+DEPLOYMENT_VARIABLES = {
+    "REPRO_STORE_DIR",
+    "REPRO_STORE_LRU",
+    "REPRO_LEDGER_DIR",
+    "REPRO_HEARTBEAT_S",
+}
+
+
+def _source_trees():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
 
 
 class TestEnvInt:
@@ -49,30 +62,44 @@ class TestEnvInt:
         assert env_int("REPRO_TEST_KNOB", 42, minimum=8) == 8
 
 
-@pytest.mark.parametrize(
-    "env_name,knob,default", KNOBS, ids=[k[0] for k in KNOBS]
-)
-class TestBudgetKnobs:
-    def test_default_when_unset(self, monkeypatch, env_name, knob, default):
-        monkeypatch.delenv(env_name, raising=False)
-        assert knob() == default
+class TestSettingsSurface:
+    def test_only_deployment_variables_are_read(self):
+        # Every variable name is a string constant of its own; prose in
+        # docstrings never matches the whole-string pattern.
+        names = {
+            node.value
+            for _, tree in _source_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value)
+        }
+        assert names == DEPLOYMENT_VARIABLES
 
-    def test_override(self, monkeypatch, env_name, knob, default):
-        monkeypatch.setenv(env_name, "1234")
-        assert knob() == 1234
+    def test_no_function_takes_an_engine_argument(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+            for path, tree in _source_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "engine" in {
+                a.arg
+                for a in node.args.args + node.args.kwonlyargs
+                + node.args.posonlyargs
+            }
+        ]
+        assert offenders == []
 
-    def test_garbage_raises_with_name(self, monkeypatch, env_name, knob, default):
-        monkeypatch.setenv(env_name, "not-a-number")
-        with pytest.raises(ValueError, match=env_name):
-            knob()
+    def test_tuning_constants_keep_their_defaults(self):
+        from repro.estimation import bounds
+        from repro.transform import search
+        from repro.window import batched, fast, streaming
 
-    @pytest.mark.parametrize("bad", ["0", "-1", "-4096"])
-    def test_zero_and_negative_rejected(
-        self, monkeypatch, env_name, knob, default, bad
-    ):
-        monkeypatch.setenv(env_name, bad)
-        with pytest.raises(ValueError, match=f"{env_name} must be >= 1"):
-            knob()
+        assert fast.DENSE_BUDGET == 2**26
+        assert streaming.STREAM_CHUNK == 65536
+        assert batched.BATCH_SIZE == 16
+        assert bounds.CLIP_BUDGET == 4096
+        assert search.PARALLEL_THRESHOLD == 8
 
 
 class TestNegativeWorkers:

@@ -16,9 +16,9 @@ from repro.window.fast import (
     _peak_concurrent,
     _time_keys,
     clear_iteration_cache,
-    dense_budget,
     window_deltas,
 )
+from repro.window import fast
 
 
 class TestIterationMatrix:
@@ -163,17 +163,17 @@ class TestPeakConcurrent:
 
 
 class TestDenseBudget:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DENSE_BUDGET", raising=False)
-        assert dense_budget() == 2**26
+    def test_default(self):
+        assert fast.DENSE_BUDGET == 2**26
 
     def test_env_override_gates_enumeration(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_BUDGET", "10")
+        # The budget is a module constant; tests override it in place.
+        monkeypatch.setattr(fast, "DENSE_BUDGET", 10)
         clear_iteration_cache()
         prog = parse_program("for i = 1 to 20 { A[i] = 1 }")
         with pytest.raises(ValueError, match="iterations"):
             _iteration_matrix(prog)
-        monkeypatch.setenv("REPRO_DENSE_BUDGET", "20")
+        monkeypatch.setattr(fast, "DENSE_BUDGET", 20)
         assert _iteration_matrix(prog).shape == (20, 1)
 
 

@@ -104,6 +104,21 @@ class TestHTTPParsing:
             )
         assert info.value.status == 413
 
+    def test_oversized_request_line_is_413(self):
+        # Past the stream's 64 KiB line limit readline raises ValueError;
+        # the parser must answer it, not let it escape the handler.
+        with pytest.raises(BadRequest) as info:
+            _parse(b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n")
+        assert info.value.status == 413
+
+    def test_oversized_header_line_is_413(self):
+        with pytest.raises(BadRequest) as info:
+            _parse(
+                b"GET /healthz HTTP/1.1\r\n"
+                b"X-Big: " + b"b" * 70_000 + b"\r\n\r\n"
+            )
+        assert info.value.status == 413
+
     def test_body_json_errors(self):
         request = _parse(
             b"POST /analyze HTTP/1.1\r\nContent-Length: 4\r\n\r\n{not"
@@ -285,6 +300,45 @@ class TestRouting:
         service.close()
 
 
+def _raw_exchange(port: int, raw: bytes, timeout: float = 10.0) -> bytes:
+    """Send ``raw`` and read until the server closes the connection."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestConnectionLimits:
+    def test_stalled_request_head_gets_408(self, monkeypatch, observer):
+        from repro.server import app
+
+        monkeypatch.setattr(app, "READ_TIMEOUT_S", 0.3)
+        with _serve() as (_, server, _):
+            started = time.perf_counter()
+            reply = _raw_exchange(
+                server.bound_port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+            )
+            elapsed = time.perf_counter() - started
+        assert reply.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert elapsed < 5.0
+        assert observer.counters["server.read_timeouts"] == 1
+
+    def test_oversized_header_gets_413_reply(self):
+        with _serve() as (_, server, _):
+            reply = _raw_exchange(
+                server.bound_port,
+                b"GET /healthz HTTP/1.1\r\nX-Big: "
+                + b"b" * 70_000 + b"\r\n\r\n",
+            )
+        assert reply.startswith(b"HTTP/1.1 413 Payload Too Large\r\n")
+
+
 class TestAnalyze:
     def test_analysis_request_roundtrip(self, observer):
         with _serve() as (url, _, _):
@@ -406,9 +460,9 @@ class TestTimeoutAndAdmission:
 
 
 # Module-level so the service can pickle them to pool workers.
-def _hang_on_sor_evaluator(kind, program, array, engine, store):
+def _hang_on_sor_evaluator(kind, program, array, store):
     if program.name == "sor":
         time.sleep(30)
     from repro.store.batch import _default_evaluator
 
-    return _default_evaluator(kind, program, array, engine, store)
+    return _default_evaluator(kind, program, array, store)

@@ -6,8 +6,8 @@ array, transformation and chunk size — it enumerates the same iteration
 space in fixed-size blocks and reduces per-chunk first/last touches into
 per-array lifetime stores.  These tests drive randomized differentials
 (including adversarially tiny chunks that force many store
-consolidations), the ``engine=`` dispatch on the public entry points,
-and the ``REPRO_DENSE_BUDGET`` gate that flips ``auto`` to streaming.
+consolidations) and the ``DENSE_BUDGET`` gate on the public entry points
+that switches from the dense engine to streaming.
 """
 
 from __future__ import annotations
@@ -21,15 +21,21 @@ from repro.transform.elementary import (
     bounded_unimodular_matrices,
     signed_permutations,
 )
-from repro.window import ENGINES, max_total_window, max_window_size, resolve_engine
+from repro import obs
+from repro.window import fast, max_total_window, max_window_size, streaming
 from repro.window.fast import max_total_window_fast, max_window_size_fast
-from repro.window.simulator import max_window_size_reference
+from repro.window.simulator import (
+    max_total_window_reference,
+    max_window_size_reference,
+)
 from repro.window.streaming import (
-    DEFAULT_CHUNK,
-    CHUNK_ENV,
+    STREAM_CHUNK,
     max_total_window_streaming,
     max_window_size_streaming,
-    stream_chunk,
+)
+from repro.window.zhao_malik import (
+    max_total_window_zhao_malik,
+    max_window_size_zhao_malik,
 )
 
 EXAMPLE_8 = """
@@ -73,7 +79,7 @@ class TestParity:
             total_stream = max_total_window_streaming(program, t, chunk=13)
             assert total_stream == total_fast
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 7, 64, STREAM_CHUNK])
     def test_chunk_size_is_invisible(self, chunk):
         program = parse_program(EXAMPLE_8)
         assert max_window_size_streaming(program, "X", chunk=chunk) == 44
@@ -90,67 +96,110 @@ class TestParity:
         assert max_window_size_streaming(program, "X", profile=True) == 44
 
 
+def _engine_calls(fn):
+    observer = obs.enable()
+    try:
+        value = fn()
+    finally:
+        obs.disable()
+    calls = {
+        name: count for name, count in observer.counters.items()
+        if name.startswith("engine.") and name.endswith(".calls")
+    }
+    return value, calls
+
+
 class TestDispatch:
     def test_engine_names_agree(self):
         program = parse_program(EXAMPLE_8)
         values = {
-            engine: max_window_size(program, "X", engine=engine)
-            for engine in ENGINES
+            "reference": max_window_size_reference(program, "X"),
+            "fast": max_window_size_fast(program, "X"),
+            "streaming": max_window_size_streaming(program, "X"),
+            "zhao_malik": max_window_size_zhao_malik(program, "X"),
+            "public": max_window_size(program, "X"),
         }
         assert set(values.values()) == {44}
         totals = {
-            engine: max_total_window(program, engine=engine)
-            for engine in ENGINES
+            "reference": max_total_window_reference(program),
+            "fast": max_total_window_fast(program),
+            "streaming": max_total_window_streaming(program),
+            "zhao_malik": max_total_window_zhao_malik(program),
+            "public": max_total_window(program),
         }
         assert set(totals.values()) == {44}
 
-    def test_unknown_engine_raises(self):
+    def test_engine_keyword_is_gone(self):
         program = parse_program(EXAMPLE_8)
-        with pytest.raises(ValueError, match="unknown window engine"):
-            max_window_size(program, "X", engine="bogus")
-        with pytest.raises(ValueError, match="unknown window engine"):
-            resolve_engine(program, "bogus")
+        with pytest.raises(TypeError, match="engine"):
+            max_window_size(program, "X", engine="fast")
+        with pytest.raises(TypeError, match="engine"):
+            max_total_window(program, engine="streaming")
 
     def test_auto_resolves_fast_below_budget(self):
         program = parse_program(EXAMPLE_8)
-        assert resolve_engine(program, "auto") == "fast"
+        value, calls = _engine_calls(lambda: max_window_size(program, "X"))
+        assert value == 44
+        assert calls == {"engine.fast.calls": 1}
 
     def test_auto_resolves_streaming_past_budget(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_BUDGET", "100")
+        monkeypatch.setattr(fast, "DENSE_BUDGET", 100)
         program = parse_program(EXAMPLE_8)  # 250 iterations > 100
-        assert resolve_engine(program, "auto") == "streaming"
-        # auto must still produce the exact answer through streaming.
-        assert max_window_size(program, "X", engine="auto") == 44
-        assert max_total_window(program, engine="auto") == 44
+        value, calls = _engine_calls(lambda: max_window_size(program, "X"))
+        assert value == 44
+        assert calls == {"engine.streaming.calls": 1}
+        # The exact answer past the budget, through streaming.
+        value, calls = _engine_calls(lambda: max_total_window(program))
+        assert value == 44
+        assert calls == {"engine.streaming.calls": 1}
+
+    def test_search_scores_past_budget_by_streaming(self, monkeypatch):
+        from repro.transform.search import clear_exact_cache, evaluate_exact
+
+        clear_exact_cache()
+        program = parse_program(EXAMPLE_8)
+        t = IntMatrix([[2, 3], [1, 1]])
+        want = evaluate_exact(program, [None, t], array="X")
+        clear_exact_cache()
+        monkeypatch.setattr(fast, "DENSE_BUDGET", 100)
+        got, calls = _engine_calls(
+            lambda: evaluate_exact(program, [None, t], array="X")
+        )
+        clear_exact_cache()
+        assert got == want == [44, 21]
+        assert calls == {"engine.streaming.calls": 2}
 
     def test_explicit_fast_past_budget_raises(self, monkeypatch):
         from repro.window.fast import clear_iteration_cache
 
-        monkeypatch.setenv("REPRO_DENSE_BUDGET", "100")
+        monkeypatch.setattr(fast, "DENSE_BUDGET", 100)
         clear_iteration_cache()  # a cached dense matrix would skip the gate
         program = parse_program(EXAMPLE_8)
         with pytest.raises(ValueError, match="iterations"):
-            max_window_size(program, "X", engine="fast")
+            max_window_size_fast(program, "X")
 
 
 class TestChunkConfig:
-    def test_default_chunk(self, monkeypatch):
-        monkeypatch.delenv(CHUNK_ENV, raising=False)
-        assert stream_chunk() == DEFAULT_CHUNK
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV, "4096")
-        assert stream_chunk() == 4096
-
-    def test_invalid_chunk_rejected(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV, "0")
-        with pytest.raises(ValueError):
-            stream_chunk()
+    def test_default_chunk(self):
+        assert STREAM_CHUNK == 65536
+        program = parse_program(EXAMPLE_8)
+        observer = obs.enable()
+        try:
+            max_window_size_streaming(program, "X")
+        finally:
+            obs.disable()
+        assert observer.counters["streaming.chunks"] == 1  # 250 <= chunk
 
     def test_env_chunk_drives_engine(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV, "9")
+        # The chunk is a module constant; tests override it in place.
+        monkeypatch.setattr(streaming, "STREAM_CHUNK", 9)
         program = parse_program(EXAMPLE_8)
-        assert max_window_size_streaming(program, "X") == 44
+        observer = obs.enable()
+        try:
+            assert max_window_size_streaming(program, "X") == 44
+        finally:
+            obs.disable()
+        assert observer.counters["streaming.chunks"] == 28  # ceil(250 / 9)
 
 
 class TestObservability:
@@ -258,7 +307,7 @@ class TestChunkLoopInternals:
 
     @pytest.mark.parametrize("chunk", [1, 3, 5, 250])
     def test_env_chunk_edges_keep_answers_exact(self, monkeypatch, chunk):
-        monkeypatch.setenv(CHUNK_ENV, str(chunk))
+        monkeypatch.setattr(streaming, "STREAM_CHUNK", chunk)
         program = parse_program(EXAMPLE_8)  # 250 iterations
         assert max_window_size_streaming(program, "X") == 44
         assert max_total_window_streaming(program) == 44
