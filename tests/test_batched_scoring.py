@@ -62,6 +62,10 @@ _CONFIGS = [
     GeneratorConfig(depth=4, min_trip=2, max_trip=3, max_coeff=1),
 ]
 
+#: How a sweep kernel is built, by backend: the specialized sweep source
+#: compiled to Python is the one backend.
+_KERNEL_BUILDERS = {"python": batched._compile_python}
+
 
 class TestDifferentialParity:
     @pytest.mark.parametrize("cfg", _CONFIGS, ids=lambda c: f"depth{c.depth}")
@@ -86,6 +90,19 @@ class TestDifferentialParity:
             assert kernel(keys).tolist() == (
                 batched._generic_sweep(states, keys).tolist()
             ), f"arrays={arrays}"
+
+    @pytest.mark.parametrize("mode", sorted(_KERNEL_BUILDERS))
+    def test_all_kernel_modes_agree(self, mode):
+        build = _KERNEL_BUILDERS[mode]
+        program = random_program(5, GeneratorConfig(depth=2, max_trip=8))
+        candidates = _candidate_pool(2, 5)
+        keys = batched._batched_time_keys(program, candidates)
+        for array in [None, *program.arrays]:
+            arrays = (array,) if array is not None else tuple(program.arrays)
+            got = build(program, arrays)(keys).tolist()
+            assert got == _serial_values(program, candidates, array), (
+                f"array={array}"
+            )
 
     def test_multi_reference_multi_array(self):
         program = parse_program(

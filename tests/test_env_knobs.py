@@ -15,6 +15,7 @@ search entry point instead of surfacing as an opaque
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -31,6 +32,14 @@ DEPLOYMENT_VARIABLES = {
     "REPRO_LEDGER_DIR",
     "REPRO_HEARTBEAT_S",
 }
+
+#: The retired tuning variables, each with the module constant that
+#: replaced it and that constant's default.
+RETIRED_KNOBS = [
+    ("REPRO_DENSE_BUDGET", "repro.window.fast", "DENSE_BUDGET", 2**26),
+    ("REPRO_CLIP_BUDGET", "repro.estimation.bounds", "CLIP_BUDGET", 4096),
+    ("REPRO_STREAM_CHUNK", "repro.window.streaming", "STREAM_CHUNK", 65536),
+]
 
 
 def _source_trees():
@@ -100,6 +109,19 @@ class TestSettingsSurface:
         assert batched.BATCH_SIZE == 16
         assert bounds.CLIP_BUDGET == 4096
         assert search.PARALLEL_THRESHOLD == 8
+
+
+@pytest.mark.parametrize(
+    "env_name,module,constant,default",
+    RETIRED_KNOBS,
+    ids=[k[0] for k in RETIRED_KNOBS],
+)
+class TestBudgetKnobs:
+    def test_default_when_unset(
+        self, monkeypatch, env_name, module, constant, default
+    ):
+        monkeypatch.delenv(env_name, raising=False)
+        assert getattr(importlib.import_module(module), constant) == default
 
 
 class TestNegativeWorkers:
