@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -173,6 +173,10 @@ class AnalysisRequest:
         return self.kernel or self.file or self.name or "inline"
 
 
+#: The keys a request payload may carry: the fields of the request.
+_REQUEST_KEYS = frozenset(f.name for f in fields(AnalysisRequest))
+
+
 @dataclass
 class AnalysisResponse:
     """Outcome of one request: result, provenance, and cache state."""
@@ -198,12 +202,25 @@ class AnalysisResponse:
 def build_request(payload: Mapping[str, Any]) -> AnalysisRequest:
     """Validate a raw payload (manifest entry, HTTP body) into a request.
 
-    Raises ``ValueError`` on an unknown kind, a missing/ambiguous
-    target, or a malformed knob — the caller maps that to its own error
-    surface (batch ``error`` outcome, HTTP 400).
+    Raises ``ValueError`` on an unknown key, an unknown kind, a
+    missing/ambiguous target, or a malformed knob — the caller maps that
+    to its own error surface (batch ``error`` outcome, HTTP 400).  An
+    unknown key is refused rather than ignored, so a typo such as
+    ``arrray`` cannot silently answer a different question.
     """
     if not isinstance(payload, Mapping):
         raise ValueError(f"request must be an object, got {payload!r}")
+    if "engine" in payload:
+        raise ValueError(
+            "request key 'engine' was removed: the window engine is "
+            "chosen from the nest size"
+        )
+    unknown = sorted(str(key) for key in payload if key not in _REQUEST_KEYS)
+    if unknown:
+        raise ValueError(
+            f"unknown request key(s) {unknown} (expected some of "
+            f"{sorted(_REQUEST_KEYS)})"
+        )
     kind = payload.get("kind", "analyze")
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r} (expected one of {KINDS})")

@@ -253,14 +253,16 @@ def _seed_transformation(program: Program, seed: int) -> IntMatrix:
 def _mws_all_engines(
     program: Program, array: str, transformation: IntMatrix | None
 ) -> dict[str, int]:
-    from repro.window.fast import max_window_size_fast
-    from repro.window.simulator import max_window_size_reference
+    from repro.window.simulator import (
+        max_window_size,
+        max_window_size_reference,
+    )
     from repro.window.streaming import max_window_size_streaming
     from repro.window.zhao_malik import max_window_size_zhao_malik
 
     return {
         "reference": max_window_size_reference(program, array, transformation),
-        "fast": max_window_size_fast(program, array, transformation),
+        "fast": max_window_size(program, array, transformation),
         "streaming": max_window_size_streaming(program, array, transformation),
         "zhao_malik": max_window_size_zhao_malik(program, array, transformation),
     }
@@ -320,14 +322,16 @@ class TotalWindowAgrees(Oracle):
         return random_program(seed, cfg)
 
     def check(self, program: Program, seed: int = 0) -> Violation | None:
-        from repro.window.fast import max_total_window_fast
-        from repro.window.simulator import max_total_window_reference
+        from repro.window.simulator import (
+            max_total_window,
+            max_total_window_reference,
+        )
         from repro.window.streaming import max_total_window_streaming
         from repro.window.zhao_malik import max_total_window_zhao_malik
 
         values = {
             "reference": max_total_window_reference(program),
-            "fast": max_total_window_fast(program),
+            "fast": max_total_window(program),
             "streaming": max_total_window_streaming(program),
             "zhao_malik": max_total_window_zhao_malik(program),
         }
@@ -476,7 +480,8 @@ class BatchedScoringParity(Oracle):
         "Section 2.3 defines one window per (program, array, order); "
         "scoring K candidate orders as one batch is pure re-association "
         "of the same sweeps, so the batched scorer must equal the "
-        "per-candidate engines on every array and on the program total."
+        "reference simulator, one candidate at a time, on every array "
+        "and on the program total."
     )
     config = GeneratorConfig(depth=2, min_trip=2, max_trip=6)
 
@@ -489,9 +494,9 @@ class BatchedScoringParity(Oracle):
     def check(self, program: Program, seed: int = 0) -> Violation | None:
         from repro.transform.elementary import signed_permutations
         from repro.window.batched import batched_mws
-        from repro.window.fast import (
-            max_total_window_fast,
-            max_window_size_fast,
+        from repro.window.simulator import (
+            max_total_window_reference,
+            max_window_size_reference,
         )
 
         rng = random.Random(seed * 104_729 + program.nest.depth)
@@ -502,15 +507,18 @@ class BatchedScoringParity(Oracle):
         for array in [None, *program.arrays]:
             batch = batched_mws(program, candidates, array=array)
             if array is None:
-                serial = [max_total_window_fast(program, t) for t in candidates]
+                serial = [
+                    max_total_window_reference(program, t) for t in candidates
+                ]
             else:
                 serial = [
-                    max_window_size_fast(program, array, t) for t in candidates
+                    max_window_size_reference(program, array, t)
+                    for t in candidates
                 ]
             if batch != serial:
                 where = array or "<total>"
                 return self.fail(
-                    f"array {where}: batched {batch} != per-candidate "
+                    f"array {where}: batched {batch} != reference "
                     f"{serial} over {len(candidates)} candidates",
                     program,
                 )
@@ -530,12 +538,12 @@ class LineWindowElementParity(Oracle):
 
     def check(self, program: Program, seed: int = 0) -> Violation | None:
         from repro.layout.line_window import line_window_profile, max_line_window
-        from repro.window.fast import max_window_size_fast
+        from repro.window.simulator import max_window_size
 
         t = _seed_transformation(program, seed)
         for array in program.arrays:
             for transformation in (None, t):
-                element = max_window_size_fast(program, array, transformation)
+                element = max_window_size(program, array, transformation)
                 line = max_line_window(
                     program, array, line_size=1, transformation=transformation
                 )
@@ -546,7 +554,7 @@ class LineWindowElementParity(Oracle):
                         program,
                     )
             profile_peak = line_window_profile(program, array, line_size=1).max_size
-            if profile_peak != max_window_size_fast(program, array):
+            if profile_peak != max_window_size(program, array):
                 return self.fail(
                     f"array {array}: line profile peak {profile_peak} != "
                     f"element MWS",
@@ -574,13 +582,13 @@ class MwsBoundedByDistinct(Oracle):
 
     def check(self, program: Program, seed: int = 0) -> Violation | None:
         from repro.estimation.exact import exact_distinct_accesses
-        from repro.window.fast import max_window_size_fast
+        from repro.window.simulator import max_window_size
 
         t = _seed_transformation(program, seed)
         for array in program.arrays:
             distinct = exact_distinct_accesses(program, array)
             for transformation in (None, t):
-                mws = max_window_size_fast(program, array, transformation)
+                mws = max_window_size(program, array, transformation)
                 if mws > distinct:
                     return self.fail(
                         f"array {array}: MWS {mws} exceeds distinct count "
@@ -715,13 +723,13 @@ class TripExtensionMonotone(Oracle):
     def check(self, program: Program, seed: int = 0) -> Violation | None:
         from repro.estimation.exact import exact_distinct_accesses
         from repro.window import max_total_window
-        from repro.window.fast import max_window_size_fast
+        from repro.window.simulator import max_window_size
 
         extra = 1 + seed % 3
         extended = extend_outermost(program, extra)
         for array in program.arrays:
-            base = max_window_size_fast(program, array)
-            grown = max_window_size_fast(extended, array)
+            base = max_window_size(program, array)
+            grown = max_window_size(extended, array)
             if grown < base:
                 return self.fail(
                     f"array {array}: MWS dropped {base} -> {grown} after "
@@ -764,7 +772,7 @@ class OffsetTranslationInvariance(Oracle):
             estimate_distinct_accesses,
             exact_distinct_accesses,
         )
-        from repro.window.fast import max_window_size_fast
+        from repro.window.simulator import max_window_size
 
         shifts = {}
         for array in program.arrays:
@@ -773,8 +781,8 @@ class OffsetTranslationInvariance(Oracle):
             shifts[array] = tuple(rng.randint(-5, 7) for _ in range(rank))
         shifted = translate_offsets(program, shifts)
         for array in program.arrays:
-            m0 = max_window_size_fast(program, array)
-            m1 = max_window_size_fast(shifted, array)
+            m0 = max_window_size(program, array)
+            m1 = max_window_size(shifted, array)
             if m0 != m1:
                 return self.fail(
                     f"array {array}: MWS {m0} -> {m1} under offset "
@@ -951,15 +959,15 @@ class TimeReversalInvariance(Oracle):
     def check(self, program: Program, seed: int = 0) -> Violation | None:
         from repro.estimation.exact import exact_distinct_accesses
         from repro.window import max_total_window
-        from repro.window.fast import max_window_size_fast
+        from repro.window.simulator import max_window_size
 
         n = program.nest.depth
         reversed_program = relabel_signed_permutation(
             program, tuple(range(n)), (-1,) * n
         )
         for array in program.arrays:
-            m0 = max_window_size_fast(program, array)
-            m1 = max_window_size_fast(reversed_program, array)
+            m0 = max_window_size(program, array)
+            m1 = max_window_size(reversed_program, array)
             if m0 != m1:
                 return self.fail(
                     f"array {array}: MWS {m0} -> {m1} under time reversal",

@@ -6,13 +6,15 @@ referenced again strictly after ``I`` — precisely the elements a minimal
 on-chip buffer must hold at that moment.  ``MWS = max_I |W_X(I)|`` is the
 minimum buffer size that avoids re-fetching any element.
 
-This package provides the exact sweep simulator (ground truth under any
-unimodular re-ordering), the batched multi-candidate scorer with its
-specialized sweep kernels (:mod:`repro.window.batched`), and the paper's
-closed-form estimates for 2-D (eq. (2)) and 3-D (Section 4.3) nests.
+This package provides the exact window engine — one dense sweep that
+scores one or many candidate orders (:mod:`repro.window.batched`), and
+a streaming sweep past the dense budget (:mod:`repro.window.streaming`)
+— the pure-Python reference and Zhao-Malik oracles it is checked
+against, and the paper's closed-form estimates for 2-D (eq. (2)) and
+3-D (Section 4.3) nests.
 """
 
-from repro.window.batched import batched_mws, clear_kernel_cache
+from repro.window.batched import batched_mws
 from repro.window.simulator import (
     LivenessProfile,
     WindowProfile,
@@ -49,7 +51,6 @@ from repro.window.zhao_malik import (
 __all__ = [
     "STREAM_CHUNK",
     "batched_mws",
-    "clear_kernel_cache",
     "LivenessProfile",
     "WindowProfile",
     "max_window_size_streaming",

@@ -1,24 +1,17 @@
-"""Vectorized (numpy) implementation of the window simulator.
+"""Dense (numpy) iteration and element state behind the window engine.
 
-Semantically identical to the pure-Python sweep in
-:mod:`repro.window.simulator` — the test suite asserts equality on
-randomized programs — but orders of magnitude faster, which is what makes
-the Figure-2 optimization search (hundreds of candidate transformations
-over ~10^5-iteration nests) tractable.
+Everything here is derived from the program alone, never from a
+candidate transformation: the ``(N, n)`` iteration matrix and, per
+array, the element-sorted access layout that the one dense sweep
+(:mod:`repro.window.batched`) reduces to first/last touches.  The state
+is cached per ``Program.signature()`` content hash (not per object
+identity), so structurally equal programs — and in particular programs
+re-pickled into pool workers — share one enumeration.
 
-Two layers of caching keep the search hot path cheap:
-
-* iteration/element state is cached per ``Program.signature()`` content
-  hash (not per object identity), so structurally equal programs — and in
-  particular programs re-pickled into pool workers — share one
-  enumeration;
-* the MWS path never ranks execution times.  MWS only needs an
-  *order-isomorphic* scalar key per iteration: lexicographic order of
-  ``u = T @ i`` equals numeric order of the mixed-radix packing of ``u``
-  over its per-column extents, so a matmul + packing replaces the old
-  ``np.lexsort`` (the former single biggest cost of candidate
-  evaluation).  Dense ranks are still computed for the profile paths,
-  which genuinely need 0..N-1 positions.
+The MWS sweep never ranks execution times; it packs ``u = T @ i`` into
+order-isomorphic keys.  Dense 0..N-1 ranks (:func:`_execution_times`)
+serve the liveness profile, which genuinely needs time positions, and
+the rare candidate whose extents overflow the int64 pack.
 """
 
 from __future__ import annotations
@@ -46,6 +39,13 @@ _INT64_LIMIT = 2**62
 DENSE_BUDGET = 2**26
 
 
+#: Padded-gather budget: pad the per-element access lists to a rectangle
+#: only while ``n_elems * pad_width`` stays within this multiple of the
+#: true access count — beyond it the raggedness makes the padded
+#: min/max read more padding than data and reduceat wins back.
+_PAD_GATHER_LIMIT = 4
+
+
 class _ElementState(NamedTuple):
     """Per-(program, array) access structure, transformation-invariant.
 
@@ -54,12 +54,19 @@ class _ElementState(NamedTuple):
     row; ``seg_starts`` delimits the runs of equal elements inside that
     order, so per-candidate lifetimes are two ``reduceat`` calls over a
     gathered time array instead of a unique + scatter per candidate.
+    ``pad_index`` is the same gather with every segment padded to the
+    longest by repeating its last member (min/max-neutral), laid out
+    width-major — row ``w`` holds each element's ``w``-th access — so
+    the reduction becomes an element-wise ``min``/``max`` over the rows
+    of a ``(width, n_elems)`` view; ``None`` where the layout is too
+    ragged for padding to pay (:data:`_PAD_GATHER_LIMIT`).
     """
 
     ids: tuple[np.ndarray, ...]
     point_row: np.ndarray
     seg_starts: np.ndarray
     n_elems: int
+    pad_index: np.ndarray | None
 
 
 class _IterState:
@@ -124,15 +131,12 @@ def _iteration_matrix(program: Program) -> np.ndarray:
 
 
 def clear_iteration_cache() -> None:
-    """Drop all cached iteration/element state (tests, memory pressure).
-
-    Specialized sweep kernels (:mod:`repro.window.batched`) are compiled
-    against the cached element layout, so they are dropped alongside it.
-    """
+    """Drop all cached iteration/element state (tests, memory pressure),
+    including the sweep's float64 point copies."""
     _ITER_STATE.clear()
-    from repro.window.batched import clear_kernel_cache
+    from repro.window.batched import _POINTSF
 
-    clear_kernel_cache()
+    _POINTSF.clear()
 
 
 def spans_fit_int64(spans: Sequence[int]) -> bool:
@@ -198,35 +202,6 @@ def _pack_columns(
     return packed
 
 
-def _time_keys(
-    program: Program, transformation: IntMatrix | None
-) -> np.ndarray:
-    """Order-isomorphic execution-time key per native iteration row.
-
-    Native order packs to the linear index; a unimodular transformation
-    packs ``u = T @ i`` over its exact extents.  Only the *order* of the
-    keys is meaningful — use :func:`_execution_times` when dense 0..N-1
-    ranks are required (profiles, delta arrays).
-    """
-    state = _iter_state(program)
-    total = state.points.shape[0]
-    if transformation is None:
-        return np.arange(total, dtype=np.int64)
-    if transformation.det() not in (1, -1):
-        raise ValueError("transformation must be unimodular")
-    rows = transformation.to_lists()
-    mins, maxs = _affine_extents(
-        rows, [0] * len(rows), program.nest.lowers, program.nest.uppers
-    )
-    spans = [hi - lo + 1 for lo, hi in zip(mins, maxs)]
-    if not spans_fit_int64(spans):
-        # Extents too wide to pack; fall back to dense lexsort ranks.
-        obs.counter("fast.pack.fallback")
-        return _execution_times(program, transformation)
-    t = np.array(rows, dtype=np.int64)
-    return _pack_columns(state.points @ t.T, mins, spans)
-
-
 def _execution_times(
     program: Program, transformation: IntMatrix | None
 ) -> np.ndarray:
@@ -280,11 +255,23 @@ def _element_state(program: Program, array: str) -> _ElementState:
     _, inverse = np.unique(all_ids, return_inverse=True)
     order = np.argsort(inverse, kind="stable")
     seg_starts = np.flatnonzero(np.diff(inverse[order], prepend=-1))
+    point_row = order % total
+    n_elems = int(seg_starts.shape[0])
+    pad_index = None
+    if n_elems:
+        lens = np.diff(np.append(seg_starts, point_row.shape[0]))
+        width = int(lens.max())
+        if n_elems * width <= _PAD_GATHER_LIMIT * point_row.shape[0]:
+            pos = seg_starts + np.minimum(
+                np.arange(width)[:, None], lens - 1
+            )
+            pad_index = point_row[pos].ravel()
     element = _ElementState(
         ids=ids,
-        point_row=order % total,
+        point_row=point_row,
         seg_starts=seg_starts,
-        n_elems=int(seg_starts.shape[0]),
+        n_elems=n_elems,
+        pad_index=pad_index,
     )
     state.elements[array] = element
     return element
@@ -297,22 +284,6 @@ def _element_ids(program: Program, array: str) -> list[np.ndarray]:
     box, so equal elements share one integer id across references.
     """
     return list(_element_state(program, array).ids)
-
-
-def _lifetimes(
-    program: Program, array: str, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(first, last)`` time keys of each *live* element of the array.
-
-    ``times`` may be any order-isomorphic key array (:func:`_time_keys`);
-    elements touched at a single time are dropped (never in the window).
-    """
-    element = _element_state(program, array)
-    seq = times[element.point_row]
-    first = np.minimum.reduceat(seq, element.seg_starts)
-    last = np.maximum.reduceat(seq, element.seg_starts)
-    live = last > first
-    return first[live], last[live]
 
 
 def _peak_concurrent(starts: np.ndarray, ends: np.ndarray) -> int:
@@ -332,27 +303,6 @@ def _peak_concurrent(starts: np.ndarray, ends: np.ndarray) -> int:
     occupancy = np.arange(1, starts.size + 1, dtype=np.int64)
     occupancy -= np.searchsorted(ends, starts, side="right")
     return int(occupancy.max())
-
-
-@obs.profiled("fast.window_deltas")
-def window_deltas(
-    program: Program,
-    array: str,
-    transformation: IntMatrix | None = None,
-) -> np.ndarray:
-    """+1/-1 event array over execution time for one array's live set.
-
-    Needs dense 0..N-1 execution ranks (the deltas are indexed by time),
-    so this is the profile-path workhorse; the plain MWS path uses
-    :func:`_lifetimes` + :func:`_peak_concurrent` on packed keys instead.
-    """
-    times = _execution_times(program, transformation)
-    total = times.shape[0]
-    first, last = _lifetimes(program, array, times)
-    deltas = np.zeros(total + 1, dtype=np.int64)
-    np.add.at(deltas, first, 1)
-    np.add.at(deltas, last, -1)
-    return deltas
 
 
 def liveness_profile_fast(
@@ -406,72 +356,3 @@ def liveness_profile_fast(
         peak_point=peak_point,
         reuse_histogram=reuse_histogram,
     )
-
-
-def max_window_size_fast(
-    program: Program,
-    array: str,
-    transformation: IntMatrix | None = None,
-    profile: bool = False,
-) -> int:
-    """Vectorized exact MWS for one array.
-
-    ``profile=True`` records the liveness profile (occupancy trajectory,
-    peak location, reuse-distance histogram) into the active observer's
-    metrics registry; while observability is disabled — or with the
-    default ``profile=False`` — the extra path costs one boolean check.
-    """
-    obs.counter("fast.simulate.calls")
-    with obs.span("simulate", array=array):
-        if profile and obs.enabled():
-            from repro.window.simulator import record_liveness
-
-            prof = liveness_profile_fast(program, array, transformation)
-            record_liveness(prof)
-            return prof.peak
-        times = _time_keys(program, transformation)
-        first, last = _lifetimes(program, array, times)
-        return _peak_concurrent(first, last)
-
-
-def max_total_window_fast(
-    program: Program,
-    transformation: IntMatrix | None = None,
-    arrays=None,
-    profile: bool = False,
-) -> int:
-    """Vectorized exact total MWS (``max_t sum_X |W_X(t)|``).
-
-    ``profile=True`` records one liveness profile per involved array.
-    """
-    obs.counter("fast.simulate.calls")
-    with obs.span("simulate", array="*"):
-        names = tuple(arrays) if arrays is not None else program.arrays
-        do_profile = profile and obs.enabled()
-        if do_profile:
-            from repro.window.simulator import record_liveness
-
-            for array in names:
-                record_liveness(
-                    liveness_profile_fast(program, array, transformation)
-                )
-        times = _time_keys(program, transformation)
-        starts = []
-        ends = []
-        for array in names:
-            first, last = _lifetimes(program, array, times)
-            starts.append(first)
-            ends.append(last)
-        if not starts:
-            return 0
-        return _peak_concurrent(np.concatenate(starts), np.concatenate(ends))
-
-
-def window_profile_fast(
-    program: Program,
-    array: str,
-    transformation: IntMatrix | None = None,
-) -> np.ndarray:
-    """Vectorized window-size profile over execution time."""
-    deltas = window_deltas(program, array, transformation)
-    return np.cumsum(deltas[:-1])

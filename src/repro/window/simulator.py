@@ -322,10 +322,10 @@ def window_profile(
     Semantics defined by :func:`window_profile_reference`; the numpy
     engine is used for speed and the test suite pins them equal.
     """
-    from repro.window.fast import window_profile_fast
+    from repro.window.fast import liveness_profile_fast
 
-    sizes = window_profile_fast(program, array, transformation)
-    return WindowProfile(array, tuple(int(v) for v in sizes))
+    occupancy = liveness_profile_fast(program, array, transformation).occupancy
+    return WindowProfile(array, occupancy)
 
 
 def fits_dense(program: Program) -> bool:
@@ -368,10 +368,11 @@ def max_window_size(
 
         obs.counter("engine.streaming.calls")
         return max_window_size_streaming(program, array, transformation)
-    from repro.window.fast import max_window_size_fast
+    if profile and obs.enabled():
+        _record_profiles(program, (array,), transformation)
+    from repro.window.batched import batched_mws
 
-    obs.counter("engine.fast.calls")
-    return max_window_size_fast(program, array, transformation, profile=profile)
+    return batched_mws(program, [transformation], array)[0]
 
 
 def max_total_window(
@@ -393,7 +394,23 @@ def max_total_window(
 
         obs.counter("engine.streaming.calls")
         return max_total_window_streaming(program, transformation, arrays)
-    from repro.window.fast import max_total_window_fast
+    if profile and obs.enabled():
+        names = tuple(arrays) if arrays is not None else program.arrays
+        _record_profiles(program, names, transformation)
+    from repro.window.batched import _batched_windows, batched_mws
 
-    obs.counter("engine.fast.calls")
-    return max_total_window_fast(program, transformation, arrays, profile=profile)
+    if arrays is None:
+        return batched_mws(program, [transformation])[0]
+    return _batched_windows(program, [transformation], tuple(arrays))[0]
+
+
+def _record_profiles(
+    program: Program,
+    arrays: Sequence[str],
+    transformation: IntMatrix | None,
+) -> None:
+    """Record one dense liveness profile per array (observer on)."""
+    from repro.window.fast import liveness_profile_fast
+
+    for array in arrays:
+        record_liveness(liveness_profile_fast(program, array, transformation))

@@ -82,6 +82,16 @@ class TestBuildRequest:
         with pytest.raises(ValueError):
             build_request({"kernel": "sor", "timeout": "soon"})
 
+    def test_unknown_key_rejected(self):
+        # A typo must not silently answer a different question (here the
+        # program total instead of array A).
+        with pytest.raises(ValueError, match="unknown request key.*'arrray'"):
+            build_request({"kind": "mws", "kernel": "sor", "arrray": "A"})
+
+    def test_retired_engine_key_rejected(self):
+        with pytest.raises(ValueError, match="'engine' was removed"):
+            build_request({"kind": "mws", "kernel": "sor", "engine": "fast"})
+
     def test_knobs_pass_through(self):
         request = build_request({
             "kind": "hierarchy", "source": LOOP, "name": "nest",

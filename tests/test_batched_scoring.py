@@ -1,11 +1,12 @@
-"""Batched multi-candidate scoring: differential parity and kernels (ISSUE 8).
+"""Batched multi-candidate scoring: differential parity and the sweep.
 
 ``window.batched.batched_mws`` must be value-identical to scoring each
-candidate through ``simulator.max_window_size`` / ``max_total_window``
-— for random programs at depths 2-4, multi-reference arrays, ``None``
-and overflow candidates — the specialized kernel must equal the generic
-batched sweep on the same keys, and its counters must reconcile with
-the serial path's.
+candidate through the reference simulator
+(``max_window_size_reference`` / ``max_total_window_reference``) — for
+random programs at depths 2-4, multi-reference arrays, ``None`` and
+overflow candidates — the sweep's padded-gather and reduceat bodies
+must agree on the same keys, and its counters must reconcile with
+one-at-a-time scoring through ``max_window_size``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,13 @@ from repro.transform.elementary import (
 )
 from repro.transform.search import clear_exact_cache
 from repro.window import batched
-from repro.window.fast import clear_iteration_cache
-from repro.window.simulator import max_total_window, max_window_size
+from repro.window.fast import _ITER_STATE, _element_state, clear_iteration_cache
+from repro.window.simulator import (
+    max_total_window,
+    max_total_window_reference,
+    max_window_size,
+    max_window_size_reference,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -50,9 +56,17 @@ def _candidate_pool(depth: int, seed: int) -> list[IntMatrix | None]:
 
 
 def _serial_values(program, candidates, array):
+    """One candidate at a time through the public entry points."""
     if array is None:
         return [max_total_window(program, t) for t in candidates]
     return [max_window_size(program, array, t) for t in candidates]
+
+
+def _reference_values(program, candidates, array):
+    """The pure-Python reference simulator, one candidate at a time."""
+    if array is None:
+        return [max_total_window_reference(program, t) for t in candidates]
+    return [max_window_size_reference(program, array, t) for t in candidates]
 
 
 _CONFIGS = [
@@ -62,9 +76,15 @@ _CONFIGS = [
     GeneratorConfig(depth=4, min_trip=2, max_trip=3, max_coeff=1),
 ]
 
-#: How a sweep kernel is built, by backend: the specialized sweep source
-#: compiled to Python is the one backend.
-_KERNEL_BUILDERS = {"python": batched._compile_python}
+#: The sweep has one backend, the numpy sweep over the cached layout.
+_KERNEL_BUILDERS = {"python": batched._generic_sweep}
+
+
+def _states(program, arrays, pad=True):
+    """Element layouts for ``arrays``; ``pad=False`` drops the padded
+    gather so the sweep takes its reduceat body."""
+    states = [_element_state(program, a) for a in arrays]
+    return states if pad else [st._replace(pad_index=None) for st in states]
 
 
 class TestDifferentialParity:
@@ -75,34 +95,46 @@ class TestDifferentialParity:
         candidates = _candidate_pool(program.nest.depth, seed)
         for array in [None, *program.arrays]:
             got = batched.batched_mws(program, candidates, array=array)
-            assert got == _serial_values(program, candidates, array), (
+            assert got == _reference_values(program, candidates, array), (
                 f"array={array}"
             )
 
     @pytest.mark.parametrize("cfg", _CONFIGS, ids=lambda c: f"depth{c.depth}")
     def test_specialized_kernel_matches_generic_sweep(self, cfg):
+        # The padded-gather reduction (chosen per array by the layout)
+        # and the reduceat body must agree on identical keys.
         program = random_program(5 * cfg.depth, cfg)
         candidates = _candidate_pool(program.nest.depth, 5)
         keys = batched._batched_time_keys(program, candidates)
         for arrays in [tuple(program.arrays), *((a,) for a in program.arrays)]:
-            states = batched._array_states(program, arrays)
-            kernel = batched._sweep_kernel(program, arrays)
-            assert kernel(keys).tolist() == (
-                batched._generic_sweep(states, keys).tolist()
-            ), f"arrays={arrays}"
+            padded = batched._generic_sweep(_states(program, arrays), keys)
+            plain = batched._generic_sweep(
+                _states(program, arrays, pad=False), keys
+            )
+            assert padded.tolist() == plain.tolist(), f"arrays={arrays}"
 
     @pytest.mark.parametrize("mode", sorted(_KERNEL_BUILDERS))
     def test_all_kernel_modes_agree(self, mode):
-        build = _KERNEL_BUILDERS[mode]
+        sweep = _KERNEL_BUILDERS[mode]
         program = random_program(5, GeneratorConfig(depth=2, max_trip=8))
         candidates = _candidate_pool(2, 5)
         keys = batched._batched_time_keys(program, candidates)
         for array in [None, *program.arrays]:
             arrays = (array,) if array is not None else tuple(program.arrays)
-            got = build(program, arrays)(keys).tolist()
-            assert got == _serial_values(program, candidates, array), (
+            got = sweep(_states(program, arrays), keys).tolist()
+            assert got == _reference_values(program, candidates, array), (
                 f"array={array}"
             )
+
+    def test_searchsorted_regime_matches_reference(self, monkeypatch):
+        # Past _EVENT_SORT_MAX_ELEMS the sweep sorts starts and ends per
+        # row instead of one encoded event sort; force that body here.
+        monkeypatch.setattr(batched, "_EVENT_SORT_MAX_ELEMS", 0)
+        program = random_program(3, GeneratorConfig(depth=2, max_trip=8))
+        candidates = _candidate_pool(2, 3)
+        for array in [None, *program.arrays]:
+            got = batched.batched_mws(program, candidates, array=array)
+            assert got == _reference_values(program, candidates, array)
 
     def test_multi_reference_multi_array(self):
         program = parse_program(
@@ -112,7 +144,7 @@ class TestDifferentialParity:
         candidates = _candidate_pool(2, 11)
         for array in [None, "A", "B"]:
             got = batched.batched_mws(program, candidates, array=array)
-            assert got == _serial_values(program, candidates, array)
+            assert got == _reference_values(program, candidates, array)
 
     def test_empty_candidates(self):
         program = random_program(1, GeneratorConfig(depth=2))
@@ -145,7 +177,7 @@ class TestEdgeCases:
         got = batched.batched_mws(program, [None, skew], array="A")
         obs.disable()
         assert observer.summary()["counters"]["fast.pack.fallback"] >= 1
-        assert got == _serial_values(program, [None, skew], "A")
+        assert got == _reference_values(program, [None, skew], "A")
 
     def test_chunked_batches_match_unchunked(self, monkeypatch):
         program = random_program(7, GeneratorConfig(depth=2, max_trip=8))
@@ -182,22 +214,17 @@ class TestCountersAndCache:
         assert batch["engine.fast.calls"] == len(candidates)
         assert batch["batch.candidates"] == len(candidates)
 
-    def test_kernel_specialized_once_per_program(self):
-        program = random_program(4, GeneratorConfig(depth=2, max_trip=6))
-        counters = self._counters(
-            lambda: [
-                batched.batched_mws(program, [None], array=None)
-                for _ in range(3)
-            ]
-        )
-        assert counters["kernel.specialized"] == 1
-
     def test_clear_iteration_cache_drops_kernels(self):
+        # Everything the sweep caches lives in the iteration state and
+        # the float64 point copies; clearing drops both.
         program = random_program(4, GeneratorConfig(depth=2, max_trip=6))
-        batched.batched_mws(program, [None], array=None)
-        assert len(batched._KERNELS) >= 1
+        batched.batched_mws(
+            program, [None, IntMatrix([[0, 1], [1, 0]])], array=None
+        )
+        assert len(_ITER_STATE) >= 1 and len(batched._POINTSF) >= 1
         clear_iteration_cache()
-        assert len(batched._KERNELS) == 0
+        assert len(_ITER_STATE) == 0
+        assert len(batched._POINTSF) == 0
 
 
 class TestKnobs:

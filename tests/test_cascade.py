@@ -41,7 +41,7 @@ from repro.transform.search import (
     search_mws_2d,
     search_mws_2d_eager,
 )
-from repro.window.fast import max_window_size_fast
+from repro.window.simulator import max_window_size
 
 EXAMPLE_8 = """
 for i = 1 to 25 {
@@ -159,7 +159,7 @@ class TestTier1:
         assert certified_zero_total(program)
         # The certificate claims MWS 0 under ANY ordering — verify.
         for t in signed_permutations(2):
-            assert max_window_size_fast(program, "X", t) == 0
+            assert max_window_size(program, "X", t) == 0
 
     def test_zero_certified_cascade_skips_all_simulation(self):
         program = parse_program(NO_REUSE)
@@ -184,7 +184,7 @@ class TestTier1:
             if verdict is None:
                 continue
             for t in [None] + list(signed_permutations(2)):
-                exact = max_window_size_fast(program, array, t)
+                exact = max_window_size(program, array, t)
                 if verdict:
                     assert exact >= 1
                 else:
@@ -202,8 +202,8 @@ class TestTier2Bound:
         )  # min-keep of 4 per axis can overshoot tiny budgets
         for array in program.arrays:
             for t in [None] + list(signed_permutations(2)):
-                lb = max_window_size_fast(clipped, array, t)
-                full = max_window_size_fast(program, array, t)
+                lb = max_window_size(clipped, array, t)
+                full = max_window_size(program, array, t)
                 assert lb <= full
 
     def test_clip_keeps_lower_bounds_and_caches(self):

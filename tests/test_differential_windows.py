@@ -88,10 +88,10 @@ def test_readonly_def_use_dominates_window(seed):
     peak can never undercut the window's (the paper's related-work
     argument, checked quantitatively)."""
     from repro.ir.generate import GeneratorConfig, random_program
-    from repro.window.fast import max_window_size_fast
+    from repro.window.simulator import max_window_size
     from repro.window.zhao_malik import def_use_peak
 
     cfg = GeneratorConfig(depth=2, min_trip=2, max_trip=6, allow_writes=False)
     program = random_program(seed, cfg)
     for array in program.arrays:
-        assert def_use_peak(program, array) >= max_window_size_fast(program, array)
+        assert def_use_peak(program, array) >= max_window_size(program, array)

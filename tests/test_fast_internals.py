@@ -8,17 +8,22 @@ from hypothesis import strategies as st
 from repro.ir import parse_program
 from repro.ir.generate import GeneratorConfig, random_program
 from repro.linalg import IntMatrix
+from repro.window.batched import _batched_time_keys
 from repro.window.fast import (
     _ITER_STATE,
     _element_ids,
     _execution_times,
     _iteration_matrix,
     _peak_concurrent,
-    _time_keys,
     clear_iteration_cache,
-    window_deltas,
+    liveness_profile_fast,
 )
 from repro.window import fast
+
+
+def _time_keys(prog, t):
+    """One candidate's row of the batched time keys."""
+    return _batched_time_keys(prog, [t])[0]
 
 
 class TestIterationMatrix:
@@ -178,16 +183,20 @@ class TestDenseBudget:
 
 
 class TestWindowDeltas:
+    """The occupancy trajectory is the running sum of +1/-1 window
+    events: it never dips below zero and every opened interval has
+    closed by the last iteration."""
+
     def test_deltas_sum_to_zero(self):
         prog = parse_program(
             "for i = 1 to 8 { X[2*i + 1] = X[2*i + 5] }"
         )
-        deltas = window_deltas(prog, "X")
-        assert int(deltas.sum()) == 0
+        occupancy = liveness_profile_fast(prog, "X").occupancy
+        assert occupancy[-1] == 0
 
     def test_cumsum_nonnegative(self):
         prog = parse_program(
             "for i = 1 to 8 { X[2*i + 1] = X[2*i + 5] }"
         )
-        deltas = window_deltas(prog, "X")
-        assert (np.cumsum(deltas[:-1]) >= 0).all()
+        occupancy = liveness_profile_fast(prog, "X").occupancy
+        assert min(occupancy) >= 0

@@ -14,7 +14,7 @@ from repro.window import (
     max_window_size,
     record_liveness,
 )
-from repro.window.fast import liveness_profile_fast, max_window_size_fast
+from repro.window.fast import liveness_profile_fast
 from repro.window.simulator import max_window_size_reference
 from repro.window.zhao_malik import def_use_occupancy, max_window_size_zhao_malik
 
@@ -95,8 +95,8 @@ class TestFastMatchesReference:
     def test_profile_flag_returns_same_mws(self):
         program = parse_program(EX8)
         obs.enable()
-        assert max_window_size_fast(program, "X", profile=True) == 44
         assert max_window_size(program, "X", profile=True) == 44
+        assert max_window_size(program, "X") == 44
 
     def test_zero_window_program(self):
         program = parse_program("for i = 1 to 4 { A[i] = 1 }")
@@ -172,7 +172,7 @@ class TestDisabledPathGuard:
         monkeypatch.setattr(fast_mod, "liveness_profile_fast", explode)
         program = parse_program(EX8)
         assert not obs.enabled()
-        assert max_window_size_fast(program, "X", profile=True) == 44
+        assert max_window_size(program, "X", profile=True) == 44
 
 
 class TestDefUseOccupancy:

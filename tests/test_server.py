@@ -258,6 +258,21 @@ class TestRouting:
         assert code == 400
         assert "exactly one of" in body["error"]
 
+    def test_unknown_request_key_400(self):
+        with _serve() as (url, _, _):
+            code, body = _call(
+                f"{url}/analyze", method="POST",
+                payload={"kind": "mws", "kernel": "sor", "arrray": "A"},
+            )
+            assert code == 400
+            assert "arrray" in body["error"]
+            code, body = _call(
+                f"{url}/analyze", method="POST",
+                payload={"kind": "mws", "kernel": "sor", "engine": "fast"},
+            )
+        assert code == 400
+        assert "'engine' was removed" in body["error"]
+
     def test_metrics_exposition(self, observer):
         with _serve() as (url, _, _):
             _call(f"{url}/analyze", method="POST",

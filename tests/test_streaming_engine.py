@@ -1,7 +1,7 @@
 """Streaming chunked window engine: parity, dispatch, and budget gating.
 
 The streaming engine (:mod:`repro.window.streaming`) must agree exactly
-with the dense fast engine and the reference simulator on every program,
+with the dense engine and the reference simulator on every program,
 array, transformation and chunk size — it enumerates the same iteration
 space in fixed-size blocks and reduces per-chunk first/last touches into
 per-array lifetime stores.  These tests drive randomized differentials
@@ -23,7 +23,6 @@ from repro.transform.elementary import (
 )
 from repro import obs
 from repro.window import fast, max_total_window, max_window_size, streaming
-from repro.window.fast import max_total_window_fast, max_window_size_fast
 from repro.window.simulator import (
     max_total_window_reference,
     max_window_size_reference,
@@ -68,14 +67,14 @@ class TestParity:
         program = random_program(seed, _CONFIGS[depth])
         for t in _transformations(program):
             for array in program.arrays:
-                fast = max_window_size_fast(program, array, t)
+                fast = max_window_size(program, array, t)
                 stream = max_window_size_streaming(program, array, t, chunk=13)
                 assert stream == fast, (
                     f"seed={seed} array={array} "
                     f"T={None if t is None else t.rows}: "
                     f"streaming={stream} fast={fast}\n{program}"
                 )
-            total_fast = max_total_window_fast(program, t)
+            total_fast = max_total_window(program, t)
             total_stream = max_total_window_streaming(program, t, chunk=13)
             assert total_stream == total_fast
 
@@ -114,7 +113,7 @@ class TestDispatch:
         program = parse_program(EXAMPLE_8)
         values = {
             "reference": max_window_size_reference(program, "X"),
-            "fast": max_window_size_fast(program, "X"),
+            "fast": max_window_size(program, "X"),
             "streaming": max_window_size_streaming(program, "X"),
             "zhao_malik": max_window_size_zhao_malik(program, "X"),
             "public": max_window_size(program, "X"),
@@ -122,7 +121,7 @@ class TestDispatch:
         assert set(values.values()) == {44}
         totals = {
             "reference": max_total_window_reference(program),
-            "fast": max_total_window_fast(program),
+            "fast": max_total_window(program),
             "streaming": max_total_window_streaming(program),
             "zhao_malik": max_total_window_zhao_malik(program),
             "public": max_total_window(program),
@@ -170,13 +169,14 @@ class TestDispatch:
         assert calls == {"engine.streaming.calls": 2}
 
     def test_explicit_fast_past_budget_raises(self, monkeypatch):
+        from repro.window.batched import batched_mws
         from repro.window.fast import clear_iteration_cache
 
         monkeypatch.setattr(fast, "DENSE_BUDGET", 100)
         clear_iteration_cache()  # a cached dense matrix would skip the gate
         program = parse_program(EXAMPLE_8)
         with pytest.raises(ValueError, match="iterations"):
-            max_window_size_fast(program, "X")
+            batched_mws(program, [None], "X")
 
 
 class TestChunkConfig:

@@ -163,6 +163,51 @@ class TestSimulatorSemantics:
         with pytest.raises(ValueError):
             max_window_size(prog, "A", IntMatrix([[2, 0], [0, 1]]))
 
+    def test_wrong_shape_rejected(self):
+        prog = parse_program("for i = 1 to 4 { for j = 1 to 4 { A[i][j] = 1 } }")
+        with pytest.raises(ValueError, match="shape"):
+            max_window_size(prog, "A", IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+        with pytest.raises(ValueError):
+            max_total_window(prog, IntMatrix([[1, 0]]))
+
+    def test_overflowing_pack_falls_back_to_ranks(self):
+        # A skew too wide for the int64 pack detours through dense
+        # lexsort ranks (counted once) with the same answer.
+        from repro import obs
+
+        prog = parse_program(
+            "for i = 1 to 8 { for j = 1 to 8 { A[i + j] = A[i + j - 1] } }"
+        )
+        skew = IntMatrix([[1, 2**58], [0, 1]])
+        observer = obs.enable()
+        try:
+            got = max_window_size(prog, "A", skew)
+        finally:
+            obs.disable()
+        assert observer.counters["fast.pack.fallback"] == 1
+        assert got == max_window_size_reference(prog, "A", skew)
+
+
+class TestDenseAccounting:
+    """One dense window is one simulation, however it is computed."""
+
+    @pytest.mark.parametrize("profile", [False, True])
+    def test_one_call_counts_once(self, profile):
+        from repro import obs
+
+        prog = parse_program(EX8)
+        for score in (
+            lambda: max_window_size(prog, "X", profile=profile),
+            lambda: max_total_window(prog, profile=profile),
+        ):
+            observer = obs.enable()
+            try:
+                assert score() == 44
+            finally:
+                obs.disable()
+            assert observer.counters["engine.fast.calls"] == 1
+            assert observer.counters["fast.simulate.calls"] == 1
+
 
 class TestFastEqualsReference:
     @given(random_programs())
